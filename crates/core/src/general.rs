@@ -63,13 +63,12 @@ pub fn greedy_cover(ring: Ring, inst: &Graph, max_len: usize) -> Option<GeneralC
     }
 
     // Precompute tile chord indices.
-    let tile_chords: Vec<Vec<u32>> = universe
-        .tiles()
-        .iter()
-        .map(|t| {
-            t.chords(ring)
+    let tile_chords: Vec<Vec<u32>> = (0..universe.len() as u32)
+        .map(|i| {
+            universe
+                .tile_chords(i)
                 .iter()
-                .map(|c| c.to_edge().dense_index(n) as u32)
+                .map(|&pri| universe.dense_of_pri(pri))
                 .collect()
         })
         .collect();
@@ -105,7 +104,7 @@ pub fn greedy_cover(ring: Ring, inst: &Graph, max_len: usize) -> Option<GeneralC
             covered[c as usize] = true;
         }
         remaining -= gain;
-        chosen.push(universe.tiles()[i].clone());
+        chosen.push(universe.tile(i as u32));
     }
 
     let mut phantom_edges = Vec::new();

@@ -248,7 +248,9 @@ fn validate_entry(key: &str, solution_doc: &str) -> Result<CertEntry, String> {
         }
         (Optimality::Infeasible, None) => {
             if job.objective == Objective::FindOptimal {
-                return Err("find_optimal never answers infeasible".into());
+                // Only an uncoverable universe answers find_optimal
+                // infeasible, and nothing here re-checks that claim.
+                return Err("an infeasible find_optimal answer is not cacheable".into());
             }
             None
         }

@@ -422,6 +422,47 @@ fn panic_is_isolated_and_fanned_to_coalesced_waiters() {
     assert_eq!(report.stats.faults_injected, 0, "no dispatch reached the injector");
 }
 
+/// A valid request whose universe cannot cover it (`max_gap = 2` on
+/// `C_8` leaves every chord longer than 2 without a candidate tile) is
+/// answered `Infeasible` by every engine route, within its deadline:
+/// the heuristic no longer panics into quarantine, and exact deepening
+/// no longer climbs budgets until the deadline or forever.
+#[test]
+fn uncoverable_universe_is_answered_infeasible_within_its_deadline() {
+    let mut svc = service();
+    for (id, engine, objective) in [
+        ("greedy", "greedy", Objective::FindOptimal),
+        ("greedy-improve", "greedy-improve", Objective::FindOptimal),
+        ("exact", "bitset", Objective::FindOptimal),
+        ("probe", "bitset", Objective::WithinBudget(12)),
+        ("partition", "partition", Objective::FindOptimal),
+    ] {
+        let mut job = SolveJob::new(id, 8);
+        job.max_gap = 2;
+        job.engine = engine.to_string();
+        job.objective = objective;
+        job.deadline_ms = Some(1500);
+        svc.submit(job).unwrap();
+    }
+    let started = std::time::Instant::now();
+    let report = svc.drain();
+    assert!(started.elapsed().as_millis() < 1500, "{:?}", started.elapsed());
+    assert_eq!(report.stats.solved, 5);
+    assert_eq!(report.stats.failed, 0);
+    assert_eq!(report.stats.quarantined, 0);
+    assert_eq!(report.stats.retries, 0);
+    for id in ["greedy", "greedy-improve", "exact", "probe", "partition"] {
+        let r = by_id(&report, id);
+        let sol = r.solution.as_ref().unwrap();
+        assert_eq!(*sol.optimality(), Optimality::Infeasible, "{id}");
+        assert!(sol.covering().is_none(), "{id}");
+        assert_eq!(sol.stats().nodes, 0, "{id}");
+        assert!(r.failure.is_none(), "{id}: {:?}", r.failure);
+    }
+    let summary = batch_summary_json(&report);
+    assert!(summary.contains("\"quarantined\": 0"), "{summary}");
+}
+
 #[test]
 fn transient_panic_recovers_on_retry() {
     // Only the first dispatch of the service's lifetime panics: the retry

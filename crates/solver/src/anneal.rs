@@ -88,17 +88,17 @@ pub fn anneal_covering(u: &TileUniverse, tiles: Vec<Tile>, params: AnnealParams)
                 .candidates(e)
                 .iter()
                 .max_by_key(|&&i| {
-                    dense(u.tile(i))
+                    u.tile_chords(i)
                         .iter()
-                        .filter(|&&c| cov[c] == 0)
+                        .filter(|&&p| cov[u.dense_of_pri(p) as usize] == 0)
                         .count()
                 })
                 .copied()
                 .expect("every chord lies on some tile");
-            for c in dense(u.tile(cand)) {
-                cov[c] += 1;
+            for &p in u.tile_chords(cand) {
+                cov[u.dense_of_pri(p) as usize] += 1;
             }
-            trial.push(u.tile(cand).clone());
+            trial.push(u.tile(cand));
             holes.retain(|&c| cov[c] == 0);
         }
 

@@ -46,6 +46,7 @@ pub use crate::bnb::SymmetryMode;
 use crate::greedy::greedy_cover;
 use crate::improve::improve_covering;
 use crate::TileUniverse;
+use cyclecover_graph::Edge;
 use cyclecover_ring::{Ring, Tile};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, Weak};
@@ -67,6 +68,9 @@ use std::time::{Duration, Instant};
 pub struct Problem {
     universe: Arc<TileUniverse>,
     spec: CoverSpec,
+    /// Dense index of the first demanded request no universe tile
+    /// covers, found once at construction.
+    uncoverable: Option<u32>,
 }
 
 impl Problem {
@@ -92,7 +96,15 @@ impl Problem {
             n * (n - 1) / 2,
             "demand vector sized for K_{n}"
         );
-        Problem { universe, spec }
+        let uncoverable = (0..spec.demand.len() as u32).find(|&d| {
+            spec.demand[d as usize] > 0
+                && universe.candidates_pri(universe.pri_of_dense(d)).is_empty()
+        });
+        Problem {
+            universe,
+            spec,
+            uncoverable,
+        }
     }
 
     /// The standard instance: cover every request of `K_n` once, over the
@@ -131,6 +143,15 @@ impl Problem {
     /// The demand spec.
     pub fn spec(&self) -> &CoverSpec {
         &self.spec
+    }
+
+    /// The first demanded request (in dense order) that no universe tile
+    /// covers — a chord longer than the universe's `max_gap` allows — if
+    /// any. Such a problem has no covering at any budget, and every
+    /// engine answers it [`Optimality::Infeasible`] without searching.
+    pub fn uncoverable_request(&self) -> Option<Edge> {
+        let n = self.ring().n() as usize;
+        self.uncoverable.map(|d| Edge::from_dense_index(d as usize, n))
     }
 
     /// Whether the spec demands every request of `K_n` exactly once.
@@ -745,7 +766,11 @@ pub enum Optimality {
     },
     /// A covering meeting the objective was found; optimality unknown.
     Feasible,
-    /// Exhaustively proved: no covering within the requested budget.
+    /// Exhaustively proved: no covering within the requested budget. A
+    /// problem with an uncoverable request
+    /// ([`Problem::uncoverable_request`]) is infeasible at every budget,
+    /// so it gets this answer under every objective, `FindOptimal`
+    /// included.
     Infeasible,
     /// The engine stopped before reaching a verdict.
     BudgetExhausted {
@@ -901,6 +926,17 @@ impl Solution {
         sol
     }
 
+    /// The answer to a problem with an uncoverable request
+    /// ([`Problem::uncoverable_request`]): [`Optimality::Infeasible`] at
+    /// every budget, settled by the universe's candidate lists before any
+    /// search, so the stats report no nodes and no budget probes.
+    fn uncoverable(ring: Ring, engine: &'static str) -> Solution {
+        let mut sol = Solution::unstarted(ring, Exhaustion::EngineLimit, engine);
+        sol.optimality = Optimality::Infeasible;
+        sol.stats.attempts = 1;
+        sol
+    }
+
     /// Attaches a degradation record — schedulers call this on the
     /// answer a fallback engine produced, so the weaker provenance rides
     /// with the solution everywhere it is serialized.
@@ -990,6 +1026,9 @@ fn drive_exact(
     request: &SolveRequest,
     run: impl Fn(u32, &RunLimits) -> (Outcome, bnb::Stats, Option<Exhaustion>),
 ) -> Solution {
+    if problem.uncoverable_request().is_some() {
+        return Solution::uncoverable(problem.ring(), engine);
+    }
     let start = Instant::now();
     let base_lim = request.run_limits(start);
     let u = problem.universe();
@@ -1012,7 +1051,7 @@ fn drive_exact(
     let (covering, optimality) = match request.objective() {
         Objective::WithinBudget(k) | Objective::ProveInfeasible(k) => match probe(k) {
             (Outcome::Feasible(idx), _, _) => {
-                let tiles: Vec<Tile> = idx.iter().map(|&i| u.tile(i).clone()).collect();
+                let tiles: Vec<Tile> = idx.iter().map(|&i| u.tile(i)).collect();
                 (Some(tiles), Optimality::Feasible)
             }
             (Outcome::Infeasible, _, _) => (None, Optimality::Infeasible),
@@ -1029,7 +1068,7 @@ fn drive_exact(
             loop {
                 match probe(budget) {
                     (Outcome::Feasible(idx), _, _) => {
-                        let tiles: Vec<Tile> = idx.iter().map(|&i| u.tile(i).clone()).collect();
+                        let tiles: Vec<Tile> = idx.iter().map(|&i| u.tile(i)).collect();
                         break (
                             Some(tiles),
                             Optimality::Optimal {
@@ -1044,6 +1083,11 @@ fn drive_exact(
                             symmetry_factor: s.sym_factor.max(1),
                         };
                         budget += 1;
+                        // A probe too small to reach its kernel's periodic
+                        // check must not outlive the deadline or a cancel.
+                        if let Some(reason) = base_lim.stop_requested() {
+                            break (None, Optimality::BudgetExhausted { reason });
+                        }
                     }
                     (Outcome::NodeLimit, _, cause) => {
                         break (
@@ -1337,7 +1381,7 @@ impl HeuristicEngine {
     /// Plain greedy max-coverage.
     pub const GREEDY: HeuristicEngine = HeuristicEngine {
         name: "greedy",
-        description: "max-coverage greedy (lazy-bucket heap)",
+        description: "max-coverage greedy (exact coverage counts)",
         anneal: false,
         improve: false,
     };
@@ -1372,6 +1416,9 @@ impl Engine for HeuristicEngine {
     }
 
     fn solve(&self, problem: &Problem, request: &SolveRequest) -> Solution {
+        if problem.uncoverable_request().is_some() {
+            return Solution::uncoverable(problem.ring(), self.name);
+        }
         let start = Instant::now();
         let u = problem.universe();
         let mut tiles = greedy_cover(u);
@@ -1768,5 +1815,70 @@ mod tests {
             assert_eq!(*sol.optimality(), Optimality::Feasible, "{name}");
             assert!(sol.size().unwrap() as u64 >= rho_formula(9), "{name}");
         }
+    }
+
+    /// `max_gap = 2` on `C_8` leaves every chord longer than 2 without a
+    /// candidate tile: every engine answers `Infeasible` at once, under
+    /// every objective, instead of panicking (greedy) or deepening
+    /// forever (the exact engines).
+    #[test]
+    fn uncoverable_universe_is_infeasible_for_every_engine() {
+        let universe = Arc::new(TileUniverse::with_max_gap(Ring::new(8), 8, 2));
+        let problem = Problem::shared(universe.clone(), CoverSpec::complete(8));
+        let e = problem
+            .uncoverable_request()
+            .expect("chord {0, 3} has length 3");
+        assert_eq!(Ring::new(8).distance(e.u(), e.v()), 3);
+        for engine in engines() {
+            for request in [
+                SolveRequest::find_optimal(),
+                SolveRequest::within_budget(40),
+                SolveRequest::prove_infeasible(40),
+            ] {
+                if !engine.supports(&problem, &request) {
+                    continue;
+                }
+                let sol = engine.solve(&problem, &request);
+                assert_eq!(
+                    *sol.optimality(),
+                    Optimality::Infeasible,
+                    "{}",
+                    engine.name()
+                );
+                assert!(sol.covering().is_none());
+                assert_eq!(sol.stats().nodes, 0, "{}", engine.name());
+                assert_eq!(sol.stats().budgets_tried, 0, "{}", engine.name());
+            }
+        }
+        // A spec demanding only chords of length <= 2 is still coverable.
+        let short = Problem::shared(
+            universe,
+            CoverSpec::subset(8, &[cyclecover_graph::Edge::new(0, 2)]),
+        );
+        assert_eq!(short.uncoverable_request(), None);
+        let sol = engine_by_name("bitset")
+            .unwrap()
+            .solve(&short, &SolveRequest::find_optimal());
+        assert_eq!(sol.size(), Some(1));
+    }
+
+    /// Deepening checks the cancel token between probes: the `K_4`
+    /// lower-bound probe refutes budget 2 in one node, far below the
+    /// kernels' periodic check, and the climb must stop right there.
+    #[test]
+    fn deepening_stops_between_probes_when_cancelled() {
+        let token = CancelToken::new();
+        token.cancel();
+        let sol = engine_by_name("bitset").unwrap().solve(
+            &Problem::complete(4),
+            &SolveRequest::find_optimal().with_cancel_token(token),
+        );
+        assert_eq!(
+            *sol.optimality(),
+            Optimality::BudgetExhausted {
+                reason: Exhaustion::Cancelled
+            }
+        );
+        assert_eq!(sol.stats().budgets_tried, 1);
     }
 }

@@ -124,12 +124,14 @@ impl ChordSet {
         }
     }
 
-    /// Writes `self ∩ other` into `out` (no allocation).
+    /// `self = mask ∩ other`, where `mask` is the raw words of a set of
+    /// the same width (e.g. a [`crate::TileUniverse::tile_mask`]); no
+    /// allocation.
     #[inline]
-    pub fn intersection_into(&self, other: &ChordSet, out: &mut ChordSet) {
+    pub fn assign_intersection(&mut self, mask: &[u64], other: &ChordSet) {
         debug_assert_eq!(self.nbits, other.nbits);
-        debug_assert_eq!(self.nbits, out.nbits);
-        for ((o, a), b) in out.words.iter_mut().zip(&self.words).zip(&other.words) {
+        debug_assert_eq!(mask.len(), self.words.len());
+        for ((o, a), b) in self.words.iter_mut().zip(mask).zip(&other.words) {
             *o = a & b;
         }
     }
@@ -180,28 +182,27 @@ impl ChordSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// Writes `self ∩ other` into `out`, touching only the word range
-    /// `lo..hi`; words of `out` outside the range are zeroed cheaply via
-    /// the caller's guarantee that they already are (debug-asserted).
-    /// Companion of [`ChordSet::is_subset_of_in`] for masks whose set
-    /// bits all live inside the range.
+    /// `self = mask ∩ other`, touching only the word range `lo..hi`:
+    /// every set bit of `mask` lies inside the range, and the words of
+    /// `self` outside it are already zero (both debug-asserted).
+    /// Companion of [`ChordSet::is_subset_of_in`] for tile masks with a
+    /// known word span.
     #[inline]
-    pub fn intersection_into_in(&self, other: &ChordSet, out: &mut ChordSet, lo: usize, hi: usize) {
+    pub fn assign_intersection_in(&mut self, mask: &[u64], other: &ChordSet, lo: usize, hi: usize) {
         debug_assert_eq!(self.nbits, other.nbits);
-        debug_assert_eq!(self.nbits, out.nbits);
+        debug_assert_eq!(mask.len(), self.words.len());
         debug_assert!(
-            self.words[..lo].iter().all(|&w| w == 0)
-                && self.words[hi..].iter().all(|&w| w == 0),
+            mask[..lo].iter().all(|&w| w == 0) && mask[hi..].iter().all(|&w| w == 0),
             "set bits outside the advertised word span"
         );
         debug_assert!(
-            out.words[..lo].iter().all(|&w| w == 0)
-                && out.words[hi..].iter().all(|&w| w == 0),
+            self.words[..lo].iter().all(|&w| w == 0)
+                && self.words[hi..].iter().all(|&w| w == 0),
             "stale scratch bits outside the advertised word span"
         );
-        for ((o, a), b) in out.words[lo..hi]
+        for ((o, a), b) in self.words[lo..hi]
             .iter_mut()
-            .zip(&self.words[lo..hi])
+            .zip(&mask[lo..hi])
             .zip(&other.words[lo..hi])
         {
             *o = a & b;
@@ -224,11 +225,7 @@ impl ChordSet {
 
     /// Iterates set bits in increasing order.
     pub fn iter(&self) -> SetBits<'_> {
-        SetBits {
-            words: &self.words,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
+        set_bits(&self.words)
     }
 
     /// The raw words (low bit of word 0 is slot 0).
@@ -416,7 +413,17 @@ impl fmt::Debug for LaneSet {
     }
 }
 
-/// Iterator over the set bits of a [`ChordSet`].
+/// Iterates the set bits of raw chord-set words (e.g. a
+/// [`crate::TileUniverse::tile_mask`]) in increasing order.
+pub fn set_bits(words: &[u64]) -> SetBits<'_> {
+    SetBits {
+        words,
+        word_idx: 0,
+        current: words.first().copied().unwrap_or(0),
+    }
+}
+
+/// Iterator over the set bits of a [`ChordSet`] or raw mask words.
 pub struct SetBits<'a> {
     words: &'a [u64],
     word_idx: usize,
@@ -496,7 +503,7 @@ mod tests {
         assert!(!b.is_subset_of(&a));
 
         let mut inter = ChordSet::empty(65);
-        a.intersection_into(&b, &mut inter);
+        inter.assign_intersection(a.words(), &b);
         assert_eq!(inter.iter().collect::<Vec<_>>(), vec![64]);
         assert!(inter.is_subset_of(&a) && inter.is_subset_of(&b));
 

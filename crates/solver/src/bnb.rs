@@ -395,7 +395,7 @@ impl Kernel for BitsetKernel {
             self.undo.push(ChordSet::empty(self.uncovered.len()));
         }
         let newly = &mut self.undo[self.depth];
-        u.tile_mask(t).intersection_into(&self.uncovered, newly);
+        newly.assign_intersection(u.tile_mask(t), &self.uncovered);
         self.uncovered.subtract(newly);
         let diam = u.diam_chords();
         for i in newly.iter() {
@@ -424,7 +424,6 @@ impl Kernel for BitsetKernel {
         let mut useful = 0u32;
         for (wi, (a, b)) in u
             .tile_mask(t)
-            .words()
             .iter()
             .zip(self.uncovered.words())
             .enumerate()
@@ -442,7 +441,7 @@ impl Kernel for BitsetKernel {
 
     #[inline]
     fn useful_mask(&self, u: &TileUniverse, t: u32, out: &mut ChordSet) -> bool {
-        u.tile_mask(t).intersection_into(&self.uncovered, out);
+        out.assign_intersection(u.tile_mask(t), &self.uncovered);
         true
     }
 
@@ -1571,7 +1570,7 @@ fn solve_optimal_spec_with(
         total.absorb(stats);
         match outcome {
             Outcome::Feasible(idx) => {
-                let tiles = idx.into_iter().map(|i| u.tile(i).clone()).collect();
+                let tiles = idx.into_iter().map(|i| u.tile(i)).collect();
                 return Some((tiles, budget, total));
             }
             Outcome::Infeasible => budget += 1,
@@ -1840,7 +1839,7 @@ mod tests {
                 if fast_ok {
                     if let Outcome::Feasible(idx) = &fast {
                         let tiles: Vec<Tile> =
-                            idx.iter().map(|&i| u.tile(i).clone()).collect();
+                            idx.iter().map(|&i| u.tile(i)).collect();
                         assert_valid_cover(&u, &tiles, 1);
                     }
                 } else {
@@ -1881,7 +1880,7 @@ mod tests {
                         "n={n} budget={budget} {sym:?}"
                     );
                     if let Outcome::Feasible(idx) = &got {
-                        let tiles: Vec<Tile> = idx.iter().map(|&i| u.tile(i).clone()).collect();
+                        let tiles: Vec<Tile> = idx.iter().map(|&i| u.tile(i)).collect();
                         assert_valid_cover(&u, &tiles, 1);
                         assert_eq!(idx.len() as u32, budget.min(rho), "n={n} {sym:?}");
                     }
@@ -2024,7 +2023,7 @@ mod tests {
         let Outcome::Feasible(idx) = &full else {
             panic!("full+memo lost the witness: {full_stats:?}");
         };
-        let tiles: Vec<Tile> = idx.iter().map(|&i| u.tile(i).clone()).collect();
+        let tiles: Vec<Tile> = idx.iter().map(|&i| u.tile(i)).collect();
         assert_valid_cover(&u, &tiles, 1);
         assert!(
             root_stats.nodes <= 400_000,

@@ -752,7 +752,7 @@ impl<'a> PartitionCore<'a> {
             let (lo, hi) = u.tile_mask_span(t);
             let mut cov = 0u32;
             let mut useful = 0u32;
-            for (wi, (a, b)) in u.tile_mask(t).words()[lo as usize..hi as usize]
+            for (wi, (a, b)) in u.tile_mask(t)[lo as usize..hi as usize]
                 .iter()
                 .zip(&self.support.words()[lo as usize..hi as usize])
                 .enumerate()
@@ -787,9 +787,9 @@ impl<'a> PartitionCore<'a> {
                 let (lo, hi) = u.tile_mask_span(t);
                 let (plo, phi) = self.dom_spans[slot];
                 self.dom_masks[slot].clear_words(plo as usize, phi as usize);
-                u.tile_mask(t).intersection_into_in(
+                self.dom_masks[slot].assign_intersection_in(
+                    u.tile_mask(t),
                     &self.support,
-                    &mut self.dom_masks[slot],
                     lo as usize,
                     hi as usize,
                 );

@@ -8,85 +8,54 @@
 //! stage of the `greedy`/`greedy-improve`/`anneal` engines in
 //! [`crate::api`].
 //!
-//! Each pick runs on a **lazy-bucket max-coverage heap** instead of a full
-//! `O(tiles)` rescan: coverage is submodular (a tile's useful coverage
-//! only shrinks as others are placed), so every heap entry's stored score
-//! is an upper bound on its true score. Popping the max and re-scoring it
-//! is therefore sound — if the fresh score still matches, no other tile
-//! can beat it; otherwise the entry is pushed back with the smaller score.
-//! In practice most picks touch a handful of entries, making large-n
-//! baseline generation near-linear instead of quadratic in the universe
-//! size, while selecting the exact same tiles as the rescan did.
+//! Each tile's coverage is kept **exact** in a flat array: it starts at
+//! the tile's chord count, and when a chord becomes covered, every tile
+//! in its candidate list loses one. Over a whole run that is one
+//! decrement per (tile, chord) incidence — `Σ|tile|` in total — and a
+//! pick is a linear scan over the array for the best key. No tile is
+//! ever re-scored, and nothing is allocated per pick.
 
 use crate::TileUniverse;
 use cyclecover_graph::Edge;
 use cyclecover_ring::Tile;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// A heap entry: a tile and its (possibly stale) useful-coverage score.
-/// Ordering matches the original scan's selection rule — more coverage
-/// first, then less waste, then smaller index.
-#[derive(PartialEq, Eq)]
-struct Entry {
-    cov: u32,
-    waste: u32,
-    idx: u32,
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.cov
-            .cmp(&other.cov)
-            .then_with(|| other.waste.cmp(&self.waste))
-            .then_with(|| other.idx.cmp(&self.idx))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Greedily covers all requests of `K_n`; returns the chosen tiles.
+/// Greedily covers all requests of `K_n`; returns the chosen tiles in
+/// pick order.
 ///
-/// Always succeeds (every chord is itself in some triangle tile).
+/// # Panics
+/// Panics if some chord has no candidate tile (a universe restricted by
+/// `max_gap` below the chord's length). The engines in [`crate::api`]
+/// answer such problems `Infeasible` before calling this.
 pub fn greedy_cover(u: &TileUniverse) -> Vec<Tile> {
-    // Runs on the universe's precomputed metadata: per-tile chord bitmasks
-    // scored with an intersection popcount against the uncovered set.
-    let mut uncovered = crate::bitset::ChordSet::full(u.num_chords());
-    let mut chosen = Vec::new();
-
-    // Seed with exact scores (everything is uncovered, so a tile's initial
-    // coverage is just its chord count). Each tile has exactly one live
-    // entry: a pop either selects it, drops it (score 0), or re-inserts it
-    // once with its refreshed score.
-    let mut heap: BinaryHeap<Entry> = (0..u.len() as u32)
-        .map(|i| Entry {
-            cov: u.tile_chords(i).len() as u32,
-            waste: u.tile_waste(i),
-            idx: i,
-        })
+    // One key per tile, ordered like the selection rule: coverage in the
+    // high half, inverted waste in the low half. The maximum key wins,
+    // and the first occurrence breaks ties toward the smaller index.
+    // Covering a chord subtracts `1 << 32` from its candidates' keys.
+    let mut key: Vec<u64> = (0..u.len() as u32)
+        .map(|i| (u.tile_chords(i).len() as u64) << 32 | u64::from(!u.tile_waste(i)))
         .collect();
-
-    while !uncovered.is_empty() {
-        let top = heap
-            .pop()
-            .expect("uncovered chords remain but no tile covers any");
-        let cov = u.tile_mask(top.idx).intersection_count(&uncovered);
-        if cov == 0 {
-            // Dead tile: coverage never grows back, drop it for good.
-            continue;
+    let mut covered = vec![false; u.num_chords() as usize];
+    let mut uncovered = covered.len();
+    let mut chosen = Vec::new();
+    while uncovered > 0 {
+        let best = key.iter().copied().max().unwrap_or(0);
+        assert!(
+            best >> 32 > 0,
+            "uncovered chords remain but no tile covers any"
+        );
+        let pick = key
+            .iter()
+            .position(|&k| k == best)
+            .expect("the maximum is present");
+        for &c in u.tile_chords(pick as u32) {
+            if !std::mem::replace(&mut covered[c as usize], true) {
+                uncovered -= 1;
+                for &t in u.candidates_pri(c) {
+                    key[t as usize] -= 1 << 32;
+                }
+            }
         }
-        if cov == top.cov {
-            // Fresh score confirmed maximal: every other entry stores an
-            // upper bound on its true score, and all of those are <= this.
-            uncovered.subtract(u.tile_mask(top.idx));
-            chosen.push(u.tile(top.idx).clone());
-        } else {
-            heap.push(Entry { cov, ..top });
-        }
+        chosen.push(u.tile(pick as u32));
     }
     chosen
 }

@@ -18,12 +18,13 @@
 
 use crate::TileUniverse;
 use cyclecover_ring::Tile;
+use std::borrow::Cow;
 
 /// Coverage counts per *priority* chord index for a tile multiset.
 fn coverage(u: &TileUniverse, tiles: &[Tile]) -> Vec<u32> {
     let mut cov = vec![0u32; u.num_chords() as usize];
     for t in tiles {
-        for c in chord_indices(u, t) {
+        for &c in chord_indices(u, t).iter() {
             cov[c as usize] += 1;
         }
     }
@@ -32,9 +33,9 @@ fn coverage(u: &TileUniverse, tiles: &[Tile]) -> Vec<u32> {
 
 /// Priority chord indices of one tile: the precomputed list when the tile
 /// is in the universe (the common case), recomputed otherwise.
-fn chord_indices(u: &TileUniverse, t: &Tile) -> Vec<u32> {
+fn chord_indices<'u>(u: &'u TileUniverse, t: &Tile) -> Cow<'u, [u32]> {
     if let Some(i) = u.index_of(t) {
-        return u.tile_chords(i).to_vec();
+        return Cow::Borrowed(u.tile_chords(i));
     }
     let n = u.ring().n() as usize;
     t.chord_pairs()
@@ -69,7 +70,7 @@ fn drop_redundant(u: &TileUniverse, tiles: &mut Vec<Tile>) -> bool {
     while i < tiles.len() {
         let idx = chord_indices(u, &tiles[i]);
         if idx.iter().all(|&c| cov[c as usize] >= 2) {
-            for &c in &idx {
+            for &c in idx.iter() {
                 cov[c as usize] -= 1;
             }
             tiles.swap_remove(i);
@@ -85,42 +86,50 @@ fn drop_redundant(u: &TileUniverse, tiles: &mut Vec<Tile>) -> bool {
 /// pair's *uniquely*-covered chords, swap it in. First improvement wins.
 fn merge_pairs(u: &TileUniverse, tiles: &mut Vec<Tile>) -> bool {
     let cov = coverage(u, tiles);
-    let per_tile: Vec<Vec<u32>> = tiles.iter().map(|t| chord_indices(u, t)).collect();
-    let m = u.num_chords() as usize;
+    let per_tile: Vec<Cow<[u32]>> = tiles.iter().map(|t| chord_indices(u, t)).collect();
+    // Scratch reused by every pair: how often the pair covers each
+    // chord, and the mask of chords only the pair covers.
+    let mut lost = vec![0u32; u.num_chords() as usize];
+    let mut must = vec![0u64; u.num_chords().div_ceil(64) as usize];
     for i in 0..tiles.len() {
         for j in (i + 1)..tiles.len() {
-            // Chords that would become uncovered if both i and j left.
-            let mut lost = vec![0u32; m];
-            for &c in per_tile[i].iter().chain(&per_tile[j]) {
-                lost[c as usize] += 1;
+            let pair = || {
+                per_tile[i]
+                    .iter()
+                    .chain(per_tile[j].iter())
+                    .map(|&c| c as usize)
+            };
+            for c in pair() {
+                lost[c] += 1;
             }
-            let must: Vec<u32> = (0..m as u32)
-                .filter(|&c| lost[c as usize] > 0 && cov[c as usize] == lost[c as usize])
-                .collect();
-            if must.is_empty() {
+            // Chords that would become uncovered if both i and j left,
+            // and among them the one with the fewest candidates (the
+            // lowest chord index on ties). Resetting `lost` as we go
+            // visits each chord once.
+            must.fill(0);
+            let mut pivot: Option<(usize, u32)> = None;
+            for c in pair() {
+                let l = std::mem::take(&mut lost[c]);
+                if l > 0 && cov[c] == l {
+                    must[c / 64] |= 1 << (c % 64);
+                    let key = (u.candidates_pri(c as u32).len(), c as u32);
+                    pivot = Some(pivot.map_or(key, |p| p.min(key)));
+                }
+            }
+            let Some((_, pivot)) = pivot else {
                 // The pair is jointly redundant; drop both.
-                let (hi, lo) = (j, i);
-                tiles.swap_remove(hi);
-                tiles.swap_remove(lo);
+                tiles.swap_remove(j);
+                tiles.swap_remove(i);
                 return true;
-            }
+            };
             // A replacement must cover all `must` chords: scan only the
-            // candidates of the rarest chord, checked against the
-            // precomputed tile masks.
-            let pivot = must
-                .iter()
-                .copied()
-                .min_by_key(|&c| u.candidates_pri(c).len())
-                .expect("must is nonempty");
+            // candidates of the rarest chord, each a word-wise subset
+            // test against its precomputed mask.
             for &cand in u.candidates_pri(pivot) {
-                let mask = u.tile_mask(cand);
-                if must.iter().all(|&c| mask.contains(c)) {
-                    // Swap in the replacement.
-                    let replacement = u.tile(cand).clone();
-                    let (hi, lo) = (j, i);
-                    tiles.swap_remove(hi);
-                    tiles.swap_remove(lo);
-                    tiles.push(replacement);
+                if must.iter().zip(u.tile_mask(cand)).all(|(a, b)| a & !b == 0) {
+                    tiles.swap_remove(j);
+                    tiles.swap_remove(i);
+                    tiles.push(u.tile(cand));
                     return true;
                 }
             }

@@ -44,9 +44,10 @@
 //! API layer composes, it does not hide):
 //!
 //! * [`TileUniverse`] — enumeration of all DRC-routable cycles (winding
-//!   tiles) of a ring, with per-chord candidate indices and precomputed
-//!   per-tile metadata (chord index lists, chord bitmasks, load, wasted
-//!   capacity, diameter counts) in a branch-priority chord order, plus
+//!   tiles) of a ring, stored as flat struct-of-arrays tables: per-chord
+//!   candidate indices and per-tile metadata (vertex and chord index
+//!   lists, chord bitmasks, load, wasted capacity, diameter counts) in a
+//!   branch-priority chord order, plus
 //!   lazily-built dihedral action tables ([`DihedralTables`]: `D_n`
 //!   permutations of chords and tiles, stabilizer bitmasks, orbit
 //!   representatives) backing the [`bnb::SymmetryMode`] search reduction;
@@ -76,8 +77,8 @@
 //!   through; plus the generic Dancing-Links substrate (Knuth's
 //!   Algorithm X) it grew out of;
 //! * [`greedy`], [`improve`], [`anneal`] — the heuristic pipeline:
-//!   lazy-bucket max-coverage greedy, drop/merge local search, simulated
-//!   annealing.
+//!   max-coverage greedy over exact per-tile coverage counts, drop/merge
+//!   local search, simulated annealing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

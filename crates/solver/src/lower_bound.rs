@@ -165,7 +165,6 @@ pub fn diameter_slack_bound(
             let mut useful = 0u64;
             for (wi, (a, b)) in u
                 .tile_mask(t)
-                .words()
                 .iter()
                 .zip(uncovered.words())
                 .enumerate()

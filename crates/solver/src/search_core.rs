@@ -266,7 +266,7 @@ impl<'a> IterCore<'a> {
             self.undo.push(ChordSet::empty(self.uncovered.len()));
         }
         let newly = &mut self.undo[depth];
-        self.u.tile_mask(t).intersection_into(&self.uncovered, newly);
+        newly.assign_intersection(self.u.tile_mask(t), &self.uncovered);
         self.uncovered.subtract(newly);
         let diam = self.u.diam_chords();
         for i in newly.iter() {
@@ -499,7 +499,7 @@ impl<'a> IterCore<'a> {
             let (lo, hi) = u.tile_mask_span(t);
             let mut cov = 0u32;
             let mut useful = 0u32;
-            for (wi, (a, b)) in u.tile_mask(t).words()[lo as usize..hi as usize]
+            for (wi, (a, b)) in u.tile_mask(t)[lo as usize..hi as usize]
                 .iter()
                 .zip(&self.uncovered.words()[lo as usize..hi as usize])
                 .enumerate()
@@ -530,9 +530,9 @@ impl<'a> IterCore<'a> {
                 let (lo, hi) = u.tile_mask_span(t);
                 let (plo, phi) = self.dom_spans[slot];
                 self.dom_masks[slot].clear_words(plo as usize, phi as usize);
-                u.tile_mask(t).intersection_into_in(
+                self.dom_masks[slot].assign_intersection_in(
+                    u.tile_mask(t),
                     &self.uncovered,
-                    &mut self.dom_masks[slot],
                     lo as usize,
                     hi as usize,
                 );
@@ -724,7 +724,7 @@ impl<'a> IterCore<'a> {
         let mut key = [words[0], words.get(1).copied().unwrap_or(0), 0, 0];
         let mut h = self.hash;
         let (lo, hi) = self.u.tile_mask_span(t);
-        let tmask = self.u.tile_mask(t).words();
+        let tmask = self.u.tile_mask(t);
         for w in lo as usize..hi as usize {
             let mut m = tmask[w] & key[w];
             key[w] &= !m;
@@ -1464,7 +1464,7 @@ impl<'a> LaneCore<'a> {
             let (lo, hi) = u.tile_mask_span(t);
             let mut cov = 0u32;
             let mut useful = 0u32;
-            for (wi, (a, b)) in u.tile_mask(t).words()[lo as usize..hi as usize]
+            for (wi, (a, b)) in u.tile_mask(t)[lo as usize..hi as usize]
                 .iter()
                 .zip(&self.support.words()[lo as usize..hi as usize])
                 .enumerate()
@@ -1494,9 +1494,9 @@ impl<'a> LaneCore<'a> {
                 let (lo, hi) = u.tile_mask_span(t);
                 let (plo, phi) = self.dom_spans[slot];
                 self.dom_masks[slot].clear_words(plo as usize, phi as usize);
-                u.tile_mask(t).intersection_into_in(
+                self.dom_masks[slot].assign_intersection_in(
+                    u.tile_mask(t),
                     &self.support,
-                    &mut self.dom_masks[slot],
                     lo as usize,
                     hi as usize,
                 );

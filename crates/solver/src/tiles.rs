@@ -4,7 +4,6 @@
 use crate::bitset::ChordSet;
 use cyclecover_graph::Edge;
 use cyclecover_ring::{Ring, Tile};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// The universe of candidate covering cycles for exact search on `C_n`:
@@ -29,21 +28,26 @@ use std::sync::OnceLock;
 /// chord" is simply the first set bit of a [`ChordSet`]. Convert with
 /// [`TileUniverse::pri_of_dense`] / [`TileUniverse::dense_of_pri`].
 ///
-/// # Per-tile metadata
+/// # Layout
 ///
-/// Construction precomputes, per tile: the chord index list (CSR-packed),
-/// the chord bitmask, the total shortest-path load, the wasted ring
-/// capacity, and the number of diameter-class chords. The branch & bound
-/// touches only these tables — never the tile's vertex list — so a search
-/// node costs a few word operations instead of per-chord ring arithmetic.
+/// Tiles are numbered in lexicographic order of their sorted vertex
+/// lists (the enumeration order), and every per-tile table is a flat
+/// array indexed by that number — no tile owns a heap object:
+///
+/// * vertices and chord lists share one CSR offset array (a tile has as
+///   many chords as vertices);
+/// * chord bitmasks live in one `u64` slab with a fixed stride of
+///   `⌈m/64⌉` words, each with its `[lo, hi)` span of nonzero words;
+/// * load, wasted capacity and diameter-chord count are plain columns;
+/// * per-chord candidate lists are CSR in priority order, each list in
+///   increasing tile order;
+/// * tile lookup by vertex set is a binary search over the vertex lists.
+///
+/// The branch & bound touches only the chord-side tables — never the
+/// vertex lists — so a search node costs a few word operations instead of
+/// per-chord ring arithmetic.
 pub struct TileUniverse {
     ring: Ring,
-    tiles: Vec<Tile>,
-    /// `by_chord[edge.dense_index(n)]` lists indices of tiles having that
-    /// chord (as a ring-consecutive pair, i.e. actually covering it).
-    by_chord: Vec<Vec<u32>>,
-    /// Tile → index (tiles are unique within a universe).
-    index_of: HashMap<Tile, u32>,
 
     // ---- chord tables (priority space) ----
     /// dense index → priority index.
@@ -59,20 +63,35 @@ pub struct TileUniverse {
     /// Priority indices `< diam_chords` are exactly the diameter-class
     /// chords (0 for odd `n`).
     diam_chords: u32,
+    /// CSR offsets into `cands`: the tiles having priority chord `c` (as
+    /// a ring-consecutive pair, i.e. actually covering it) are
+    /// `cands[cand_off[c]..cand_off[c+1]]`, in increasing tile order.
+    cand_off: Vec<u32>,
+    /// Concatenated per-chord candidate lists.
+    cands: Vec<u32>,
     /// Longest per-chord candidate list — the one-shot sizing bound for
     /// per-node candidate arenas (no search node can see more).
     max_candidates: u32,
+    /// `vertex_masks[v]`: the chords incident to ring vertex `v`
+    /// (priority space) — the support of the vertex-degree lower bound.
+    vertex_masks: Vec<ChordSet>,
 
     // ---- tile tables ----
-    /// CSR offsets into `chord_idx`: tile `i` owns
-    /// `chord_idx[chord_off[i]..chord_off[i+1]]`.
-    chord_off: Vec<u32>,
-    /// Concatenated per-tile chord lists (priority indices).
+    /// CSR offsets into `verts` and `chord_idx`: tile `i` owns slots
+    /// `tile_off[i]..tile_off[i+1]` of both.
+    tile_off: Vec<u32>,
+    /// Concatenated sorted vertex lists.
+    verts: Vec<u32>,
+    /// Concatenated per-tile chord lists (priority indices), the `j`-th
+    /// chord joining vertices `j` and `j+1` (cyclically).
     chord_idx: Vec<u32>,
-    /// Per-tile chord bitmask (priority space).
-    masks: Vec<ChordSet>,
-    /// Per-tile `(lo, hi)` word span of the mask: every set bit of
-    /// `masks[i]` lies in words `lo..hi`. Dominance subset tests and
+    /// Words per chord bitmask: `⌈m/64⌉`.
+    stride: usize,
+    /// Per-tile chord bitmasks (priority space): tile `i`'s mask is
+    /// `masks[i·stride..(i+1)·stride]`.
+    masks: Vec<u64>,
+    /// Per-tile `(lo, hi)` word span of the mask: every set bit of tile
+    /// `i`'s mask lies in words `lo..hi`. Dominance subset tests and
     /// scratch clears touch only this span instead of the full width.
     mask_span: Vec<(u32, u32)>,
     /// Per-tile total shortest-path load `Σ dist(chord)`.
@@ -81,9 +100,6 @@ pub struct TileUniverse {
     waste: Vec<u32>,
     /// Per-tile number of diameter-class chords.
     diam_count: Vec<u32>,
-    /// `vertex_masks[v]`: the chords incident to ring vertex `v`
-    /// (priority space) — the support of the vertex-degree lower bound.
-    vertex_masks: Vec<ChordSet>,
 
     /// Lazily-built dihedral action tables (`None` inside the cell when
     /// the group order `2n` exceeds the 64-bit subgroup masks).
@@ -138,6 +154,7 @@ impl DihedralTables {
         let mut chord_stab = vec![0u64; m as usize];
         let mut tile_stab = vec![0u64; t_count as usize];
         let mut canon_tile: Vec<u32> = (0..t_count).collect();
+        let mut image = Vec::with_capacity(n as usize);
         for g in 0..order {
             // Vertex action of element g (see the type docs).
             let map = |v: u32| -> u32 {
@@ -157,13 +174,11 @@ impl DihedralTables {
                 }
             }
             for t in 0..t_count {
-                let verts: Vec<u32> = u.tiles[t as usize]
-                    .vertices()
-                    .iter()
-                    .map(|&v| map(v))
-                    .collect();
+                image.clear();
+                image.extend(u.tile_vertices(t).iter().map(|&v| map(v)));
+                image.sort_unstable();
                 let img = u
-                    .index_of(&Tile::from_vertices(u.ring, verts))
+                    .index_of_sorted(&image)
                     .expect("tile universe is closed under the dihedral action");
                 tile_perm[g as usize * t_count as usize + t as usize] = img;
                 if img == t {
@@ -265,6 +280,52 @@ impl DihedralTables {
     }
 }
 
+/// Calls `visit` with the sorted vertex list of every tile of `C_n` with
+/// `3..=max_len` vertices and all gaps `≤ max_gap`, in lexicographic
+/// order: a depth-first walk over increasing vertex choices that reports
+/// a prefix before its extensions.
+fn for_each_tile(ring: Ring, max_len: usize, max_gap: u32, visit: &mut impl FnMut(&[u32])) {
+    fn rec(
+        ring: Ring,
+        max_len: usize,
+        max_gap: u32,
+        next_min: u32,
+        current: &mut Vec<u32>,
+        visit: &mut impl FnMut(&[u32]),
+    ) {
+        if current.len() >= 3 {
+            // Closing gap from last vertex back to first.
+            let close = ring.cw_gap(*current.last().unwrap(), current[0]);
+            if close <= max_gap {
+                visit(current);
+            }
+        }
+        if current.len() == max_len {
+            return;
+        }
+        for v in next_min..ring.n() {
+            // Gap from previous chosen vertex.
+            if let Some(&prev) = current.last() {
+                if ring.cw_gap(prev, v) > max_gap {
+                    // gaps only grow as v grows
+                    break;
+                }
+            }
+            current.push(v);
+            rec(ring, max_len, max_gap, v + 1, current, visit);
+            current.pop();
+        }
+    }
+    // First vertex ranges over all positions (subsets are sorted, so the
+    // first vertex is the minimum).
+    let mut current: Vec<u32> = Vec::with_capacity(max_len);
+    for v0 in 0..ring.n() {
+        current.push(v0);
+        rec(ring, max_len, max_gap, v0 + 1, &mut current, visit);
+        current.pop();
+    }
+}
+
 impl TileUniverse {
     /// Enumerates all tiles with `3 ≤ |S| ≤ max_len` vertices.
     ///
@@ -278,55 +339,15 @@ impl TileUniverse {
     /// `max_gap`. With `max_gap = ⌊n/2⌋` every chord is routed on a
     /// shortest path (no "wasted" capacity) — the shape of all odd-`n`
     /// optimal coverings.
+    ///
+    /// Two passes over the enumeration: the first counts tiles and
+    /// vertex slots, so the second fills every table at its exact final
+    /// size — a build makes the same few allocations at any tile count.
     pub fn with_max_gap(ring: Ring, max_len: usize, max_gap: u32) -> Self {
         assert!(max_len >= 3, "tiles need >= 3 vertices");
         let n = ring.n();
-        let mut tiles = Vec::new();
-        // DFS over increasing vertex choices; prune when the remaining gap
-        // back to the start would force a gap > max_gap… (cheap check at
-        // close time only, gaps between chosen vertices checked on the fly).
-        let mut current: Vec<u32> = Vec::with_capacity(max_len);
-        fn rec(
-            ring: Ring,
-            max_len: usize,
-            max_gap: u32,
-            next_min: u32,
-            current: &mut Vec<u32>,
-            tiles: &mut Vec<Tile>,
-        ) {
-            let n = ring.n();
-            if current.len() >= 3 {
-                // Closing gap from last vertex back to first.
-                let close = ring.cw_gap(*current.last().unwrap(), current[0]);
-                if close <= max_gap {
-                    tiles.push(Tile::from_vertices(ring, current.clone()));
-                }
-            }
-            if current.len() == max_len {
-                return;
-            }
-            for v in next_min..n {
-                // Gap from previous chosen vertex.
-                if let Some(&prev) = current.last() {
-                    if ring.cw_gap(prev, v) > max_gap {
-                        // gaps only grow as v grows
-                        break;
-                    }
-                }
-                current.push(v);
-                rec(ring, max_len, max_gap, v + 1, current, tiles);
-                current.pop();
-            }
-        }
-        // First vertex ranges over all positions (subsets are sorted, so the
-        // first vertex is the minimum).
-        for v0 in 0..n {
-            current.push(v0);
-            rec(ring, max_len, max_gap, v0 + 1, &mut current, &mut tiles);
-            current.pop();
-        }
-
-        let m = n as usize * (n as usize - 1) / 2;
+        let nu = n as usize;
+        let m = nu * (nu - 1) / 2;
 
         // Priority permutation: stable sort of dense indices by decreasing
         // distance puts diameter-class chords (maximal distance) first and
@@ -335,7 +356,7 @@ impl TileUniverse {
         let mut dense_by_priority: Vec<u32> = (0..m as u32).collect();
         let dense_dist: Vec<u32> = (0..m)
             .map(|i| {
-                let e = Edge::from_dense_index(i, n as usize);
+                let e = Edge::from_dense_index(i, nu);
                 ring.distance(e.u(), e.v())
             })
             .collect();
@@ -352,7 +373,7 @@ impl TileUniverse {
         let ends_of_pri: Vec<(u32, u32)> = dense_of_pri
             .iter()
             .map(|&d| {
-                let e = Edge::from_dense_index(d as usize, n as usize);
+                let e = Edge::from_dense_index(d as usize, nu);
                 (e.u(), e.v())
             })
             .collect();
@@ -361,79 +382,114 @@ impl TileUniverse {
             .take_while(|&&d| ring.is_diameter_class(d))
             .count() as u32;
 
-        let mut vertex_masks = vec![ChordSet::empty(m as u32); n as usize];
+        let mut vertex_masks = vec![ChordSet::empty(m as u32); nu];
+        // Build-time lookup `pri_of_pair[u·n + v]` for either order of
+        // the endpoints.
+        let mut pri_of_pair = vec![0u32; nu * nu];
         for (dense, &pri) in pri_of_dense.iter().enumerate() {
-            let e = Edge::from_dense_index(dense, n as usize);
-            vertex_masks[e.u() as usize].insert(pri);
-            vertex_masks[e.v() as usize].insert(pri);
+            let e = Edge::from_dense_index(dense, nu);
+            let (a, b) = (e.u() as usize, e.v() as usize);
+            vertex_masks[a].insert(pri);
+            vertex_masks[b].insert(pri);
+            pri_of_pair[a * nu + b] = pri;
+            pri_of_pair[b * nu + a] = pri;
         }
 
-        // Per-tile metadata + per-chord candidate lists, one pass.
-        let mut by_chord = vec![Vec::new(); m];
-        let mut index_of = HashMap::with_capacity(tiles.len());
-        let mut chord_off = Vec::with_capacity(tiles.len() + 1);
-        let mut chord_idx = Vec::new();
-        let mut masks = Vec::with_capacity(tiles.len());
-        let mut mask_span = Vec::with_capacity(tiles.len());
-        let mut load = Vec::with_capacity(tiles.len());
-        let mut waste = Vec::with_capacity(tiles.len());
-        let mut diam_count = Vec::with_capacity(tiles.len());
-        chord_off.push(0u32);
-        for (i, t) in tiles.iter().enumerate() {
-            index_of.insert(t.clone(), i as u32);
-            let mut mask = ChordSet::empty(m as u32);
+        // Pass 1: sizes.
+        let (mut t_count, mut slots) = (0usize, 0usize);
+        for_each_tile(ring, max_len, max_gap, &mut |vs| {
+            t_count += 1;
+            slots += vs.len();
+        });
+        assert!(
+            slots <= u32::MAX as usize,
+            "universe too large for 32-bit offsets"
+        );
+
+        // Pass 2: per-tile tables, plus per-chord candidate counts.
+        let stride = m.div_ceil(64);
+        let mut tile_off = Vec::with_capacity(t_count + 1);
+        let mut verts = Vec::with_capacity(slots);
+        let mut chord_idx = Vec::with_capacity(slots);
+        let mut masks = vec![0u64; t_count * stride];
+        let mut mask_span = Vec::with_capacity(t_count);
+        let mut load = Vec::with_capacity(t_count);
+        let mut waste = Vec::with_capacity(t_count);
+        let mut diam_count = Vec::with_capacity(t_count);
+        let mut cand_off = vec![0u32; m + 1];
+        tile_off.push(0u32);
+        for_each_tile(ring, max_len, max_gap, &mut |vs| {
+            let i = mask_span.len();
+            let mask = &mut masks[i * stride..(i + 1) * stride];
             let mut tile_load = 0u32;
             let mut tile_diam = 0u32;
-            for (u, v) in t.chord_pairs() {
-                let dense = Edge::new(u, v).dense_index(n as usize);
-                let pri = pri_of_dense[dense];
-                by_chord[dense].push(i as u32);
+            let k = vs.len();
+            for j in 0..k {
+                let (a, b) = (vs[j] as usize, vs[(j + 1) % k] as usize);
+                let pri = pri_of_pair[a * nu + b];
                 chord_idx.push(pri);
-                mask.insert(pri);
+                mask[pri as usize / 64] |= 1u64 << (pri % 64);
+                cand_off[pri as usize + 1] += 1;
                 tile_load += dist_of_pri[pri as usize];
                 tile_diam += (pri < diam_chords) as u32;
             }
-            chord_off.push(chord_idx.len() as u32);
-            let lo = mask
-                .words()
-                .iter()
-                .position(|&w| w != 0)
-                .unwrap_or(0) as u32;
+            verts.extend_from_slice(vs);
+            tile_off.push(verts.len() as u32);
+            let lo = mask.iter().position(|&w| w != 0).unwrap_or(0) as u32;
             let hi = mask
-                .words()
                 .iter()
                 .rposition(|&w| w != 0)
                 .map(|p| p as u32 + 1)
                 .unwrap_or(0);
             mask_span.push((lo, hi));
-            masks.push(mask);
             load.push(tile_load);
             waste.push(n - tile_load.min(n));
             diam_count.push(tile_diam);
-        }
-        let max_candidates = by_chord.iter().map(|c| c.len() as u32).max().unwrap_or(0);
+        });
+        debug_assert_eq!(mask_span.len(), t_count);
 
-        TileUniverse {
+        // Per-chord candidate lists: prefix sums, then one pass over the
+        // tiles in order keeps every list sorted by tile index.
+        let max_candidates = cand_off.iter().copied().max().unwrap_or(0);
+        for c in 0..m {
+            cand_off[c + 1] += cand_off[c];
+        }
+        let mut cursor = cand_off[..m].to_vec();
+        let mut cands = vec![0u32; slots];
+        for i in 0..t_count {
+            for &c in &chord_idx[tile_off[i] as usize..tile_off[i + 1] as usize] {
+                cands[cursor[c as usize] as usize] = i as u32;
+                cursor[c as usize] += 1;
+            }
+        }
+
+        let u = TileUniverse {
             ring,
-            tiles,
-            by_chord,
-            index_of,
             pri_of_dense,
             dense_of_pri,
             dist_of_pri,
             ends_of_pri,
             diam_chords,
+            cand_off,
+            cands,
             max_candidates,
-            chord_off,
+            vertex_masks,
+            tile_off,
+            verts,
             chord_idx,
+            stride,
             masks,
             mask_span,
             load,
             waste,
             diam_count,
-            vertex_masks,
             dihedral: OnceLock::new(),
-        }
+        };
+        debug_assert!(
+            (1..u.len() as u32).all(|i| u.tile_vertices(i - 1) < u.tile_vertices(i)),
+            "tiles are enumerated in lexicographic order"
+        );
+        u
     }
 
     /// The dihedral action tables, built on first use (`None` for rings
@@ -450,76 +506,86 @@ impl TileUniverse {
         self.ring
     }
 
-    /// Approximate heap footprint of this universe in bytes — the figure
-    /// a byte-budgeted universe cache charges per entry. Counts the
-    /// dominant owned allocations (tile vertex lists, CSR chord tables,
-    /// bitmasks, per-chord candidate lists); deliberately excludes the
-    /// lazily-built dihedral tables, which are a lower-order term.
+    /// Heap footprint of this universe in bytes — the figure a
+    /// byte-budgeted universe cache charges per entry. Every table is
+    /// allocated at its exact size, so this is the sum of their
+    /// lengths; it deliberately excludes the lazily-built dihedral
+    /// tables, which are a lower-order term.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let m = self.pri_of_dense.len();
-        let words_per_mask = m.div_ceil(64);
-        let mask_bytes = size_of::<ChordSet>() + words_per_mask * 8;
-        let mut bytes = size_of::<Self>();
-        bytes += self
-            .tiles
-            .iter()
-            .map(|t| size_of::<Tile>() + t.len() * size_of::<u32>())
-            .sum::<usize>();
-        // index_of mirrors the tile list (key clone + u32 + bucket slack).
-        bytes += self
-            .tiles
-            .iter()
-            .map(|t| size_of::<Tile>() + t.len() * size_of::<u32>() + 2 * size_of::<usize>())
-            .sum::<usize>();
-        bytes += self
-            .by_chord
-            .iter()
-            .map(|c| size_of::<Vec<u32>>() + c.len() * size_of::<u32>())
-            .sum::<usize>();
-        bytes += (self.pri_of_dense.len() + self.dense_of_pri.len() + self.dist_of_pri.len())
-            * size_of::<u32>();
-        bytes += self.ends_of_pri.len() * size_of::<(u32, u32)>();
-        bytes += (self.chord_off.len() + self.chord_idx.len()) * size_of::<u32>();
-        bytes += self.masks.len() * (mask_bytes + size_of::<(u32, u32)>());
-        bytes += (self.load.len() + self.waste.len() + self.diam_count.len()) * size_of::<u32>();
-        bytes += self.vertex_masks.len() * mask_bytes;
-        bytes
-    }
-
-    /// All tiles.
-    pub fn tiles(&self) -> &[Tile] {
-        &self.tiles
+        let u32s = self.pri_of_dense.len()
+            + self.dense_of_pri.len()
+            + self.dist_of_pri.len()
+            + self.cand_off.len()
+            + self.cands.len()
+            + self.tile_off.len()
+            + self.verts.len()
+            + self.chord_idx.len()
+            + self.load.len()
+            + self.waste.len()
+            + self.diam_count.len();
+        let pairs = self.ends_of_pri.len() + self.mask_span.len();
+        let vertex_masks = self.vertex_masks.len() * (size_of::<ChordSet>() + self.stride * 8);
+        size_of::<Self>()
+            + u32s * size_of::<u32>()
+            + pairs * size_of::<(u32, u32)>()
+            + self.masks.len() * size_of::<u64>()
+            + vertex_masks
     }
 
     /// Number of tiles.
     pub fn len(&self) -> usize {
-        self.tiles.len()
+        self.mask_span.len()
     }
 
     /// Whether the universe is empty.
     pub fn is_empty(&self) -> bool {
-        self.tiles.is_empty()
+        self.mask_span.is_empty()
     }
 
     /// Indices of tiles covering the given request.
     pub fn candidates(&self, e: Edge) -> &[u32] {
-        &self.by_chord[e.dense_index(self.ring.n() as usize)]
+        self.candidates_pri(self.pri_of_dense[e.dense_index(self.ring.n() as usize)])
     }
 
     /// Indices of tiles covering the chord with priority index `pri`.
+    #[inline]
     pub fn candidates_pri(&self, pri: u32) -> &[u32] {
-        &self.by_chord[self.dense_of_pri[pri as usize] as usize]
+        let c = pri as usize;
+        &self.cands[self.cand_off[c] as usize..self.cand_off[c + 1] as usize]
     }
 
-    /// The tile with index `i`.
-    pub fn tile(&self, i: u32) -> &Tile {
-        &self.tiles[i as usize]
+    /// The tile with index `i`, as an owned value (for output paths; the
+    /// search reads [`TileUniverse::tile_vertices`] and the chord tables).
+    pub fn tile(&self, i: u32) -> Tile {
+        Tile::from_vertices(self.ring, self.tile_vertices(i).to_vec())
+    }
+
+    /// Tile `i`'s vertices in increasing ring order.
+    #[inline]
+    pub fn tile_vertices(&self, i: u32) -> &[u32] {
+        let i = i as usize;
+        &self.verts[self.tile_off[i] as usize..self.tile_off[i + 1] as usize]
     }
 
     /// The index of `tile` in this universe, if enumerated.
     pub fn index_of(&self, tile: &Tile) -> Option<u32> {
-        self.index_of.get(tile).copied()
+        self.index_of_sorted(tile.vertices())
+    }
+
+    /// The index of the tile with sorted vertex list `verts`: a binary
+    /// search, since tile indices follow lexicographic vertex order.
+    fn index_of_sorted(&self, verts: &[u32]) -> Option<u32> {
+        let (mut lo, mut hi) = (0u32, self.len() as u32);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.tile_vertices(mid).cmp(verts) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(mid),
+            }
+        }
+        None
     }
 
     /// Number of chord slots (`n(n−1)/2`).
@@ -567,13 +633,15 @@ impl TileUniverse {
     #[inline]
     pub fn tile_chords(&self, i: u32) -> &[u32] {
         let i = i as usize;
-        &self.chord_idx[self.chord_off[i] as usize..self.chord_off[i + 1] as usize]
+        &self.chord_idx[self.tile_off[i] as usize..self.tile_off[i + 1] as usize]
     }
 
-    /// Tile `i`'s chord bitmask (priority space).
+    /// Tile `i`'s chord bitmask (priority space), as the raw words of a
+    /// [`ChordSet`] of width [`TileUniverse::num_chords`].
     #[inline]
-    pub fn tile_mask(&self, i: u32) -> &ChordSet {
-        &self.masks[i as usize]
+    pub fn tile_mask(&self, i: u32) -> &[u64] {
+        let i = i as usize;
+        &self.masks[i * self.stride..(i + 1) * self.stride]
     }
 
     /// The `(lo, hi)` word span of tile `i`'s mask: every set bit lies in
@@ -611,6 +679,7 @@ impl TileUniverse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitset::set_bits;
 
     /// Tiles of size k on C_n are exactly the k-subsets: C(n,3) + C(n,4)
     /// for max_len = 4.
@@ -636,14 +705,11 @@ mod tests {
     fn max_gap_filters_long_arcs() {
         let ring = Ring::new(9);
         let u = TileUniverse::with_max_gap(ring, 4, 4);
-        assert!(u.tiles().iter().all(|t| t.max_gap(ring) <= 4));
+        assert!((0..u.len() as u32).all(|i| u.tile(i).max_gap(ring) <= 4));
         // {0, 1, 2} has closing gap 7 > 4: excluded.
-        assert!(!u
-            .tiles()
-            .iter()
-            .any(|t| t.vertices() == [0, 1, 2]));
+        assert!(!(0..u.len() as u32).any(|i| u.tile_vertices(i) == [0, 1, 2]));
         // {0, 3, 6} has gaps 3,3,3: included.
-        assert!(u.tiles().iter().any(|t| t.vertices() == [0, 3, 6]));
+        assert!((0..u.len() as u32).any(|i| u.tile_vertices(i) == [0, 3, 6]));
     }
 
     #[test]
@@ -674,10 +740,8 @@ mod tests {
         let ring = Ring::new(6);
         let u = TileUniverse::new(ring, 4);
         let e = Edge::new(0, 2);
-        let brute = u
-            .tiles()
-            .iter()
-            .filter(|t| t.chords(ring).iter().any(|c| c.to_edge() == e))
+        let brute = (0..u.len() as u32)
+            .filter(|&i| u.tile(i).chords(ring).iter().any(|c| c.to_edge() == e))
             .count();
         assert_eq!(u.candidates(e).len(), brute);
     }
@@ -756,7 +820,7 @@ mod tests {
                     let mut mapped: Vec<u32> =
                         u.tile_chords(t).iter().map(|&c| d.chord_image(g, c)).collect();
                     mapped.sort_unstable();
-                    let img_chords: Vec<u32> = u.tile_mask(img).iter().collect();
+                    let img_chords: Vec<u32> = set_bits(u.tile_mask(img)).collect();
                     assert_eq!(mapped, img_chords, "n={n} g={g} t={t}");
                 }
             }
@@ -828,7 +892,7 @@ mod tests {
                 got.sort_unstable();
                 assert_eq!(got, expect, "n={n} tile {i}");
                 assert_eq!(
-                    u.tile_mask(i).iter().collect::<Vec<_>>(),
+                    set_bits(u.tile_mask(i)).collect::<Vec<_>>(),
                     expect,
                     "n={n} tile {i} mask"
                 );
@@ -846,7 +910,7 @@ mod tests {
                     .count() as u32;
                 assert_eq!(u.tile_diam_count(i), diam, "n={n} tile {i}");
                 // Index lookup round-trips.
-                assert_eq!(u.index_of(t), Some(i), "n={n} tile {i}");
+                assert_eq!(u.index_of(&t), Some(i), "n={n} tile {i}");
             }
         }
     }

@@ -270,7 +270,7 @@ proptest! {
         let t_count = u.len() as u32;
         let mut orbit_sum = 0u64;
         for t in 0..t_count {
-            let tile = u.tile(t);
+            let tile = &u.tile(t);
             // Canonical image: a valid universe tile with identical
             // metadata, idempotent, and an orbit invariant.
             let canon = d.canonical_tile(t);
