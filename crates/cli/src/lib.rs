@@ -1108,6 +1108,29 @@ this line is not json at all
     }
 
     #[test]
+    fn serve_rejects_an_over_deep_line_and_answers_the_next_job() {
+        // 200,000 nested brackets in the `n` field: the JSON reader's
+        // depth cap turns the line into one reject instead of a stack
+        // overflow, and the valid job after it is still answered.
+        let jobs = format!(
+            "{{\"format\": \"cyclecover-request\", \"version\": 1, \"id\": \"deep\", \"n\": {}\n\
+             {{\"format\": \"cyclecover-request\", \"version\": 1, \"id\": \"after\", \"n\": 6}}\n",
+            "[".repeat(200_000)
+        );
+        let dir = std::env::temp_dir().join("cyclecover_cli_test_deep_line");
+        std::fs::create_dir_all(&dir).unwrap();
+        let batch = dir.join("jobs.jsonl");
+        std::fs::write(&batch, jobs).unwrap();
+        let summary = runv(&["serve", "--batch", batch.to_str().unwrap()]).unwrap();
+        assert!(summary.contains("\"rejected\": 1"), "{summary}");
+        assert!(summary.contains("\"line\": 1"), "{summary}");
+        assert!(summary.contains("nesting deeper than 128"), "{summary}");
+        assert!(summary.contains("\"id\": \"after\""), "{summary}");
+        assert!(summary.contains("\"solved\": 1"), "{summary}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn serve_fault_plan_panics_are_terminal_failed_answers() {
         // A plan that panics job "boom" on every dispatch: with retries
         // exhausted it must surface as a terminal failed status while the

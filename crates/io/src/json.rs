@@ -376,7 +376,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -440,8 +440,21 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The deepest array/object nesting [`Json::parse`] accepts — far above
+/// any wire document (they nest at most four levels), and low enough that
+/// neither the recursive parse nor the recursive drop of a [`Json`] can
+/// exhaust a thread's stack. Deeper input is an error, not an abort.
+const MAX_DEPTH: usize = 128;
+
+/// Parses the value at `pos`, nested inside `depth` arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
@@ -457,7 +470,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -482,7 +495,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -1119,6 +1132,22 @@ mod tests {
         engine_by_name("bitset")
             .unwrap()
             .solve(&Problem::complete(n), req)
+    }
+
+    #[test]
+    fn nesting_is_capped_not_recursed_into() {
+        // A million open brackets would overflow the stack of a parser
+        // (or of the drop of its result) with no depth limit.
+        let deep = "[".repeat(1_000_000);
+        let err = Json::parse(&deep).expect_err("over-deep input is rejected");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let objects = "{\"a\": ".repeat(1_000_000);
+        assert!(Json::parse(&objects).is_err());
+        // The cap itself is reachable: 128 levels parse, 129 do not.
+        let at_cap = format!("{}{}", "[".repeat(128), "]".repeat(128));
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!("{}{}", "[".repeat(129), "]".repeat(129));
+        assert!(Json::parse(&past_cap).is_err());
     }
 
     #[test]

@@ -1263,14 +1263,6 @@ impl Engine for LegacyEngine {
 // Partition engines (the slack-budgeted exact-cover kernel)
 // ---------------------------------------------------------------------------
 
-/// `λ·Σd(e)`: the total demanded distance of a spec over a universe —
-/// what the waste slack `budget·n − λ·Σd(e)` is measured against.
-fn demanded_distance(u: &TileUniverse, spec: &CoverSpec) -> u64 {
-    (0..u.num_chords())
-        .map(|d| spec.demand[d as usize] as u64 * u.dist_of_pri(u.pri_of_dense(d)) as u64)
-        .sum()
-}
-
 /// The slack-budgeted partition planner as a directly selectable engine
 /// (`"partition"`): any spec with demands in `1..=3`, at any budget.
 ///
@@ -1343,7 +1335,8 @@ impl Engine for DlxEngine {
     fn supports(&self, problem: &Problem, _request: &SolveRequest) -> bool {
         let spec = problem.spec();
         (1..=3).contains(&spec.max_demand())
-            && demanded_distance(problem.universe(), spec)
+            && spec
+                .demanded_distance(problem.universe())
                 .is_multiple_of(problem.ring().n() as u64)
     }
 

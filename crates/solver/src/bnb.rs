@@ -39,8 +39,13 @@
 //! already-exhausted uncovered set with an equal-or-worse budget. With
 //! the memo off the core reproduces the recursive search here *to the
 //! node* ([`budget_search_reference`] keeps the recursive path callable
-//! as the differential fixture); λ-fold specs still run the recursive
-//! multiplicity kernel.
+//! as the differential fixture). Specs with demands in `2..=3` run its
+//! 2-bit lane sibling, low-slack ones the partition kernel
+//! ([`crate::dlx`]); only demands > 3 still run the recursive
+//! multiplicity kernel. Every core runs inside the shared harness
+//! (`crate::harness`): one node meter for node, deadline and cancel
+//! accounting, one dihedral orbit filter, one sequential conclusion and
+//! one frontier-parallel driver.
 //!
 //! On top of the word kernel the search applies **dominance pruning** at
 //! every node: a candidate whose useful-coverage mask is a subset of an
@@ -50,9 +55,9 @@
 //! Dominance at full depth is the decisive pruning rule: the ρ(10)
 //! witness search needs 13.4M nodes with it vs 225M without.
 //!
-//! λ-fold specs (some demand > 1) use the multiplicity kernel: plain
-//! per-chord `Vec<u32>` counters, still driven by the precomputed chord
-//! index lists.
+//! The multiplicity kernel (demands > 3, and the `legacy` engine) keeps
+//! plain per-chord `Vec<u32>` counters, still driven by the precomputed
+//! chord index lists.
 //!
 //! # Symmetry reduction
 //!
@@ -63,30 +68,30 @@
 //! [`diameter_slack_bound`]; [`SymmetryMode::Full`] extends the orbit
 //! filtering to every depth under the incrementally maintained pointwise
 //! stabilizer of the placed prefix. [`SymmetryMode::Off`] reproduces the
-//! pre-symmetry search node for node — the deprecated free functions pin
+//! pre-symmetry search node for node — the memo-off node-count pins run
 //! it, and `bench_snapshot` uses it to track the reduction factor.
 //!
 //! # Parallel search
 //!
-//! [`cover_spec_within_budget_parallel`] expands the tree breadth-first
-//! into a frontier of independent prefixes (several per thread, not just
-//! the root candidates) and drains it on a work-sharing `rayon` scope with
-//! a shared early-exit flag and node budget — a thread that exhausts its
-//! subtree immediately pulls the next pending prefix, so infeasibility
-//! proofs scale past the root branching factor.
+//! `budget_search_parallel` hands every branch-and-bound core to the
+//! one frontier driver (`crate::harness::frontier_search`): the tree is
+//! expanded breadth-first into a frontier of independent prefixes
+//! (several per thread, not just the root candidates) and drained on a
+//! work-sharing `rayon` scope with a shared early-exit flag and node
+//! budget — a thread that exhausts its subtree immediately pulls the next
+//! pending prefix, so infeasibility proofs scale past the root branching
+//! factor.
 
 use crate::api::{CancelToken, Exhaustion};
 use crate::bitset::ChordSet;
+use crate::harness::{conclude, frontier_search, FrontierCore, NodeMeter, OrbitFilter, Search};
 use crate::lower_bound::{
     combinatorial_lower_bound, diameter_slack_bound, parity_join_bound, weighted_demand_bound,
 };
 pub use crate::memo::{MemoConfig, MemoStore, DEFAULT_MEMO_BYTES};
-use crate::tiles::DihedralTables;
+use crate::search_core::{search_lanes, IterCore, LaneCore, LaneTables};
 use crate::TileUniverse;
 use cyclecover_graph::Edge;
-use cyclecover_ring::Tile;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
 
 /// How much dihedral symmetry reduction a search applies. `C_n`'s
@@ -133,8 +138,8 @@ pub enum SymmetryMode {
 /// Externally-imposed resource limits on one budgeted search: a node
 /// budget, an optional wall-clock deadline, and an optional shared
 /// cancellation flag. Built by the [`crate::api`] engines from a
-/// [`crate::api::SolveRequest`]; the deprecated free functions fill in
-/// node-budget-only limits.
+/// [`crate::api::SolveRequest`]; the forced-kernel entry points
+/// ([`budget_search_reference`] and friends) impose a node budget only.
 #[derive(Clone, Default)]
 pub(crate) struct RunLimits {
     /// Maximum search-tree nodes to expand (`u64::MAX` = unlimited).
@@ -147,7 +152,8 @@ pub(crate) struct RunLimits {
 }
 
 impl RunLimits {
-    /// Node-budget-only limits — the legacy free-function contract.
+    /// Node-budget-only limits, as the forced-kernel entry points take
+    /// them.
     pub(crate) fn nodes_only(max_nodes: u64) -> Self {
         RunLimits {
             max_nodes,
@@ -211,6 +217,16 @@ impl CoverSpec {
     /// sum-of-distances logic.
     pub fn capacity_lower_bound(&self, ring: cyclecover_ring::Ring) -> u64 {
         weighted_demand_bound(ring, &self.demand)
+    }
+
+    /// `λ·Σd(e)`: the spec's total demanded distance over `u`, which the
+    /// waste slack `budget·n − λ·Σd(e)` is measured against. The
+    /// low-slack route dispatch and the `dlx` engine's zero-slack scope
+    /// both read it here.
+    pub(crate) fn demanded_distance(&self, u: &TileUniverse) -> u64 {
+        (0..u.num_chords())
+            .map(|d| self.demand[d as usize] as u64 * u.dist_of_pri(u.pri_of_dense(d)) as u64)
+            .sum()
     }
 
     /// Whether every demand is ≤ 1 (the bitset kernel applies).
@@ -594,210 +610,33 @@ struct SearchCtx<'a, K: Kernel> {
     u: &'a TileUniverse,
     kernel: K,
     budget: u32,
-    max_nodes: u64,
     stats: Stats,
     chosen: Vec<u32>,
-    hit_limit: bool,
-    /// Why the search stopped early (only meaningful when `hit_limit`);
-    /// `None` there means another worker's early-exit flag tripped.
-    stop_cause: Option<Exhaustion>,
-    /// Wall-clock deadline, checked every ~4096 nodes.
-    deadline: Option<Instant>,
-    /// Cooperative cancellation flag, checked every ~4096 nodes.
-    cancel: Option<&'a AtomicBool>,
-    early_exit: Option<&'a AtomicBool>,
-    /// Shared node accounting for the parallel search: `(counter, cap)`.
-    /// Every 1024 local nodes the delta is flushed into the counter and
-    /// the cap is checked, so the *global* budget is enforced within
-    /// `threads × 1024` nodes of slack (not per-worker).
-    shared_nodes: Option<(&'a AtomicU64, u64)>,
-    /// Local node count already flushed into the shared counter.
-    synced_nodes: u64,
     /// Scratch masks reused across dominance passes (index = candidate
     /// position within the current node).
     dom_scratch: Vec<ChordSet>,
-    /// Dihedral reduction level (degraded to `Off` when the tables are
-    /// unavailable or the spec has no symmetry).
-    mode: SymmetryMode,
-    /// Whether the strong (diameter-slack) prefix bound is consulted —
-    /// the requested mode was not `Off`, independent of table
-    /// availability.
-    strong: bool,
-    /// The dihedral tables, when `mode != Off`.
-    sym: Option<&'a DihedralTables>,
-    /// Subgroup preserving the spec's initial demand (bitmask).
-    spec_group: u64,
-    /// `Full` mode: `stab_stack[d]` = pointwise stabilizer of the first
-    /// `d` placed tiles intersected with `spec_group` (seeded with
-    /// `spec_group` at depth 0).
-    stab_stack: Vec<u64>,
-    /// Stamp array over tile indices backing the per-branch "already kept
-    /// a candidate of this orbit" test (lazily sized).
-    sym_seen: Vec<u64>,
-    sym_stamp: u64,
-}
-
-/// Resolves a *requested* symmetry level into the effective one: `Off`
-/// when the tables are unavailable (`2n > 64`) or the spec-preserving
-/// subgroup is only the identity; otherwise the requested mode with the
-/// tables and the subgroup mask. Shared by the recursive context and
-/// the iterative core — the differential node-count gate relies on both
-/// degrading identically.
-pub(crate) fn resolve_symmetry<'a>(
-    u: &'a TileUniverse,
-    spec: &CoverSpec,
-    requested: SymmetryMode,
-) -> (SymmetryMode, Option<&'a DihedralTables>, u64) {
-    if requested == SymmetryMode::Off {
-        return (SymmetryMode::Off, None, 0);
-    }
-    match u.dihedral() {
-        Some(tables) => {
-            let group = tables.demand_preserving(|pri| spec.demand[u.dense_of_pri(pri) as usize]);
-            if group & !1 == 0 {
-                // Only the identity: nothing to reduce by.
-                (SymmetryMode::Off, None, 0)
-            } else {
-                (requested, Some(tables), group)
-            }
-        }
-        None => (SymmetryMode::Off, None, 0),
-    }
+    orbits: OrbitFilter<'a>,
 }
 
 impl<'a, K: Kernel> SearchCtx<'a, K> {
-    fn new(
-        u: &'a TileUniverse,
-        spec: &CoverSpec,
-        budget: u32,
-        lim: &'a RunLimits,
-        requested: SymmetryMode,
-    ) -> Self {
-        let strong = requested != SymmetryMode::Off;
-        let (mode, sym, spec_group) = resolve_symmetry(u, spec, requested);
+    fn new(u: &'a TileUniverse, spec: &CoverSpec, budget: u32, requested: SymmetryMode) -> Self {
         SearchCtx {
             u,
             kernel: K::new(u, spec),
             budget,
-            max_nodes: lim.max_nodes,
             stats: Stats {
                 sym_factor: 1,
                 ..Stats::default()
             },
             chosen: Vec::new(),
-            hit_limit: false,
-            stop_cause: None,
-            deadline: lim.deadline,
-            cancel: lim.cancel.as_ref().map(|c| c.flag()),
-            early_exit: None,
-            shared_nodes: None,
-            synced_nodes: 0,
             // Sized once from the longest candidate list any branch chord
             // can present — no node ever allocates a scratch mask
-            // mid-search (the old growth loop built full-width empty
-            // `ChordSet`s from inside `sorted_candidates`).
+            // mid-search.
             dom_scratch: (0..u.max_candidates())
                 .map(|_| ChordSet::empty(u.num_chords()))
                 .collect(),
-            mode,
-            strong,
-            sym,
-            spec_group,
-            stab_stack: if mode == SymmetryMode::Full {
-                vec![spec_group]
-            } else {
-                Vec::new()
-            },
-            sym_seen: Vec::new(),
-            sym_stamp: 0,
+            orbits: OrbitFilter::new(u, spec, requested),
         }
-    }
-
-    /// Flushes local node counts into the shared counter; returns `true`
-    /// if the global budget is exhausted.
-    fn sync_shared_nodes(&mut self) -> bool {
-        let Some((counter, cap)) = self.shared_nodes else {
-            return false;
-        };
-        let delta = self.stats.nodes - self.synced_nodes;
-        self.synced_nodes = self.stats.nodes;
-        let total = counter.fetch_add(delta, Ordering::Relaxed) + delta;
-        total > cap
-    }
-
-    #[inline]
-    fn place(&mut self, t: u32) {
-        if self.mode == SymmetryMode::Full {
-            let top = *self.stab_stack.last().expect("stab stack seeded");
-            let stab = self.sym.expect("tables exist in Full mode").tile_stab(t);
-            self.stab_stack.push(top & stab);
-        }
-        self.kernel.place(self.u, t);
-        self.chosen.push(t);
-    }
-
-    #[inline]
-    fn unplace(&mut self, t: u32) {
-        debug_assert_eq!(self.chosen.last(), Some(&t));
-        self.chosen.pop();
-        self.kernel.unplace(self.u, t);
-        if self.mode == SymmetryMode::Full {
-            self.stab_stack.pop();
-        }
-    }
-
-    /// Drops candidates whose subtree mirrors an earlier sibling's: a
-    /// candidate is skipped when some symmetry `h` — preserving the spec,
-    /// every placed tile, and the branch chord — maps it onto an
-    /// already-kept candidate. `Root` mode applies this at the empty
-    /// prefix only; `Full` mode at every node, under the incrementally
-    /// maintained prefix stabilizer.
-    fn filter_symmetric(&mut self, branch: u32, cands: Vec<u32>) -> Vec<u32> {
-        let Some(sym) = self.sym else { return cands };
-        let group = match self.mode {
-            SymmetryMode::Off => return cands,
-            SymmetryMode::Root => {
-                if !self.chosen.is_empty() {
-                    return cands;
-                }
-                self.spec_group
-            }
-            SymmetryMode::Full => *self.stab_stack.last().expect("stab stack seeded"),
-        };
-        let filter = group & sym.chord_stab(branch);
-        if self.chosen.is_empty() {
-            self.stats.sym_factor = self.stats.sym_factor.max(filter.count_ones());
-        }
-        if filter & !1 == 0 {
-            // Identity only: every orbit is a singleton.
-            return cands;
-        }
-        if self.sym_seen.len() < sym.num_tiles() as usize {
-            self.sym_seen.resize(sym.num_tiles() as usize, 0);
-        }
-        self.sym_stamp += 1;
-        let stamp = self.sym_stamp;
-        let mut kept = Vec::with_capacity(cands.len());
-        for t in cands {
-            let mut elements = filter & !1;
-            let mut mirrored = false;
-            while elements != 0 {
-                let g = elements.trailing_zeros();
-                elements &= elements - 1;
-                let image = sym.tile_image(g, t);
-                if image != t && self.sym_seen[image as usize] == stamp {
-                    mirrored = true;
-                    break;
-                }
-            }
-            if mirrored {
-                self.stats.sym_pruned += 1;
-            } else {
-                self.sym_seen[t as usize] = stamp;
-                kept.push(t);
-            }
-        }
-        kept
     }
 
     /// Scored, sorted, dominance-filtered candidates for the branch chord.
@@ -836,7 +675,7 @@ impl<'a, K: Kernel> SearchCtx<'a, K> {
                 }
             }
         }
-        let cands: Vec<u32> = if masks_ok {
+        let mut cands: Vec<u32> = if masks_ok {
             let mut keep = vec![true; c];
             for (i, keep_i) in keep.iter_mut().enumerate().skip(1) {
                 let (earlier, rest) = self.dom_scratch.split_at(i);
@@ -854,114 +693,113 @@ impl<'a, K: Kernel> SearchCtx<'a, K> {
         } else {
             scored.into_iter().map(|(t, _, _)| t).collect()
         };
-        self.filter_symmetric(branch, cands)
+        self.orbits
+            .filter(branch, self.chosen.len(), None, &mut cands, &mut self.stats);
+        cands
     }
 
-    fn dfs(&mut self) -> bool {
+    fn dfs(&mut self, meter: &mut NodeMeter) -> bool {
         if self.kernel.satisfied() {
             return true;
         }
-        self.stats.nodes += 1;
-        if self.stats.nodes > self.max_nodes {
-            self.hit_limit = true;
-            self.stop_cause = Some(Exhaustion::NodeBudget);
+        if !meter.enter(&mut self.stats.nodes) {
             return false;
         }
-        if self.stats.nodes.is_multiple_of(1024) {
-            if let Some(flag) = self.early_exit {
-                if flag.load(Ordering::Relaxed) {
-                    self.hit_limit = true;
-                    return false;
-                }
-            }
-            if self.sync_shared_nodes() {
-                self.hit_limit = true;
-                self.stop_cause = Some(Exhaustion::NodeBudget);
-                return false;
-            }
-        }
-        if self.stats.nodes.is_multiple_of(4096) {
-            if let Some(flag) = self.cancel {
-                if flag.load(Ordering::Relaxed) {
-                    self.hit_limit = true;
-                    self.stop_cause = Some(Exhaustion::Cancelled);
-                    return false;
-                }
-            }
-            if let Some(d) = self.deadline {
-                if Instant::now() >= d {
-                    self.hit_limit = true;
-                    self.stop_cause = Some(Exhaustion::Deadline);
-                    return false;
-                }
-            }
-        }
-        let used = self.chosen.len() as u64;
-        if used + self.kernel.remaining_lb(self.u) > self.budget as u64 {
+        if self.bound_refutes() {
             self.stats.pruned += 1;
             return false;
         }
-        if self.strong {
-            let slack = self.budget as u64 - used;
-            if self.kernel.strong_lb(self.u, slack) > slack {
-                self.stats.pruned += 1;
-                return false;
-            }
-        }
         let branch = self.kernel.branch_chord().expect("unsatisfied demand exists");
-        if K::sorts_at(self.chosen.len()) {
-            for t in self.sorted_candidates(branch) {
-                self.place(t);
-                if self.dfs() {
-                    return true;
-                }
-                self.unplace(t);
-                if self.hit_limit {
-                    return false;
-                }
-            }
-        } else if self.mode == SymmetryMode::Full {
-            // `Full` keeps its every-depth filtering promise on the
-            // non-sorting (multiplicity) path too: materialize the useful
-            // candidates in universe order and run them through the
-            // orbit filter. Only reachable with a nontrivial spec group,
-            // so the extra Vec is never paid by `Off`/`Root` here.
-            let u = self.u;
-            let cands: Vec<u32> = u
+        // The non-sorting (multiplicity) path tries the useful candidates
+        // in universe order, tested lazily; `Full` keeps its every-depth
+        // filtering promise there too by materializing them first.
+        let u = self.u;
+        let staged;
+        let (cands, lazy) = if K::sorts_at(self.chosen.len()) {
+            staged = self.sorted_candidates(branch);
+            (&staged[..], false)
+        } else if self.orbits.mode() == SymmetryMode::Full {
+            let mut useful: Vec<u32> = u
                 .candidates_pri(branch)
                 .iter()
                 .copied()
                 .filter(|&t| self.kernel.new_coverage(u, t).0 > 0)
                 .collect();
-            for t in self.filter_symmetric(branch, cands) {
-                self.place(t);
-                if self.dfs() {
-                    return true;
-                }
-                self.unplace(t);
-                if self.hit_limit {
-                    return false;
-                }
-            }
+            let depth = self.chosen.len();
+            self.orbits
+                .filter(branch, depth, None, &mut useful, &mut self.stats);
+            staged = useful;
+            (&staged[..], false)
         } else {
-            // The candidate slice borrows the universe (a copied `&'a`
-            // reference), not `self`, so `self` stays free for mutation.
-            let u = self.u;
-            for &t in u.candidates_pri(branch) {
-                if self.kernel.new_coverage(u, t).0 == 0 {
-                    continue;
-                }
-                self.place(t);
-                if self.dfs() {
-                    return true;
-                }
-                self.unplace(t);
-                if self.hit_limit {
-                    return false;
-                }
+            (u.candidates_pri(branch), true)
+        };
+        for &t in cands {
+            if lazy && self.kernel.new_coverage(u, t).0 == 0 {
+                continue;
+            }
+            self.place(t);
+            if self.dfs(meter) {
+                return true;
+            }
+            self.unplace();
+            if meter.hit_limit() {
+                return false;
             }
         }
         false
+    }
+}
+
+impl<K: Kernel> Search for SearchCtx<'_, K> {
+    fn run(&mut self, meter: &mut NodeMeter) -> bool {
+        self.dfs(meter)
+    }
+
+    fn chosen(&self) -> &[u32] {
+        &self.chosen
+    }
+
+    fn take_stats(&mut self) -> Stats {
+        self.stats
+    }
+}
+
+impl<K: Kernel> FrontierCore for SearchCtx<'_, K> {
+    fn satisfied(&self) -> bool {
+        self.kernel.satisfied()
+    }
+
+    #[inline]
+    fn place(&mut self, t: u32) {
+        self.orbits.push(t);
+        self.kernel.place(self.u, t);
+        self.chosen.push(t);
+    }
+
+    #[inline]
+    fn unplace(&mut self) {
+        let t = self.chosen.pop().expect("unplace without place");
+        self.kernel.unplace(self.u, t);
+        self.orbits.pop();
+    }
+
+    fn bound_refutes(&self) -> bool {
+        let used = self.chosen.len() as u64;
+        let budget = self.budget as u64;
+        if used + self.kernel.remaining_lb(self.u) > budget {
+            return true;
+        }
+        let slack = budget - used;
+        self.orbits.strong() && self.kernel.strong_lb(self.u, slack) > slack
+    }
+
+    fn stage_children(&mut self, out: &mut Vec<u32>) {
+        let branch = self.kernel.branch_chord().expect("unsatisfied demand exists");
+        out.extend(self.sorted_candidates(branch));
+    }
+
+    fn stats_mut(&mut self) -> &mut Stats {
+        &mut self.stats
     }
 }
 
@@ -972,14 +810,7 @@ fn search<K: Kernel>(
     lim: &RunLimits,
     sym: SymmetryMode,
 ) -> (Outcome, Stats, Option<Exhaustion>) {
-    let mut ctx = SearchCtx::<K>::new(u, spec, budget, lim, sym);
-    if ctx.dfs() {
-        (Outcome::Feasible(ctx.chosen.clone()), ctx.stats, None)
-    } else if ctx.hit_limit {
-        (Outcome::NodeLimit, ctx.stats, ctx.stop_cause)
-    } else {
-        (Outcome::Infeasible, ctx.stats, None)
-    }
+    conclude(SearchCtx::<K>::new(u, spec, budget, sym), lim)
 }
 
 /// Budgeted search under full [`RunLimits`]: the engine-facing entry
@@ -1012,17 +843,15 @@ pub(crate) fn budget_search(
     store: Option<&MemoStore>,
 ) -> (Outcome, Stats, Option<Exhaustion>) {
     if spec.is_unit() {
-        crate::search_core::search_iterative(u, spec, budget, lim, sym, store)
+        conclude(IterCore::new(u, spec, budget, sym, store), lim)
     } else if spec.max_demand() <= 3 {
         let n = u.ring().n() as u64;
-        let wsum: u64 = (0..u.num_chords())
-            .map(|d| spec.demand[d as usize] as u64 * u.dist_of_pri(u.pri_of_dense(d)) as u64)
-            .sum();
         let cap = budget as u64 * n;
+        let wsum = spec.demanded_distance(u);
         if cap >= wsum && cap - wsum < n {
             crate::dlx::search_partition(u, spec, budget, lim, sym, store)
         } else {
-            crate::search_core::search_lanes(u, spec, budget, lim, sym, store)
+            search_lanes(u, spec, budget, lim, sym, store)
         }
     } else {
         search::<MultiKernel>(u, spec, budget, lim, sym)
@@ -1069,7 +898,7 @@ pub fn budget_search_packed(
 ) -> (Outcome, Stats) {
     assert!(spec.max_demand() <= 3, "lane core requires demands ≤ 3");
     let lim = RunLimits::nodes_only(max_nodes);
-    let (o, s, _) = crate::search_core::search_lanes(u, spec, budget, &lim, sym, store);
+    let (o, s, _) = search_lanes(u, spec, budget, &lim, sym, store);
     (o, s)
 }
 
@@ -1107,13 +936,15 @@ pub(crate) fn budget_search_legacy(
     search::<MultiKernel>(u, spec, budget, lim, SymmetryMode::Off)
 }
 
-/// [`budget_search`] on the breadth-first frontier + `rayon` scope.
-/// `prefix_per_thread` controls how many independent prefixes are
-/// expanded per thread before the scope drains them. Unit-demand specs
-/// drain [`crate::search_core`] workers sharing one refutation store
-/// (each attached under its own generation, so cross-worker reuse shows
-/// up as `shared_hits`); λ ≤ 3 specs drain the lane-core workers the
-/// same way; only demands > 3 keep the recursive multiplicity workers.
+/// [`budget_search`] on the frontier driver: `prefix_per_thread`
+/// controls how many independent prefixes are expanded per thread
+/// before the rayon scope drains them. Unit-demand specs drain
+/// [`IterCore`] workers sharing one refutation store (each attached
+/// under its own generation, so cross-worker reuse shows up as
+/// `shared_hits`); λ ≤ 3 specs drain lane-core workers the same way,
+/// with one set of lane tables shared by all; demands > 3 drain the
+/// recursive multiplicity kernel. The partition route has no parallel
+/// form: every λ ≤ 3 probe stays on the lane core here.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn budget_search_parallel(
     u: &TileUniverse,
@@ -1126,354 +957,25 @@ pub(crate) fn budget_search_parallel(
     store: Option<&MemoStore>,
 ) -> (Outcome, Stats, Option<Exhaustion>) {
     if spec.is_unit() {
-        crate::search_core::search_iterative_parallel(
-            u,
-            spec,
-            budget,
-            lim,
-            threads,
-            prefix_per_thread,
-            sym,
-            store,
-        )
+        let make = || IterCore::new(u, spec, budget, sym, store);
+        frontier_search(make, lim, threads, prefix_per_thread, store)
     } else if spec.max_demand() <= 3 {
-        crate::search_core::search_lanes_parallel(
-            u,
-            spec,
-            budget,
-            lim,
-            threads,
-            prefix_per_thread,
-            sym,
-            store,
-        )
+        let lanes = LaneTables::build(u);
+        let make = || LaneCore::new(u, spec, budget, sym, store, &lanes);
+        frontier_search(make, lim, threads, prefix_per_thread, store)
     } else {
-        search_parallel::<MultiKernel>(u, spec, budget, lim, threads, prefix_per_thread, sym)
+        let make = || SearchCtx::<MultiKernel>::new(u, spec, budget, sym);
+        frontier_search(make, lim, threads, prefix_per_thread, None)
     }
-}
-
-/// Searches for a covering of `spec` using at most `budget` tiles from the
-/// universe. Exhaustive up to `max_nodes` search nodes. Unit-demand specs
-/// run on the bitset kernel; λ-fold specs on the multiplicity kernel.
-///
-/// Runs without symmetry reduction, preserving this function's historical
-/// node counts; the engine path defaults to [`SymmetryMode::Root`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api`: \
-            engine \"bitset\" with `Objective::WithinBudget`; \
-            `SolveRequest::with_symmetry(SymmetryMode::Off)` reproduces this \
-            function's exact search"
-)]
-pub fn cover_spec_within_budget(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    budget: u32,
-    max_nodes: u64,
-) -> (Outcome, Stats) {
-    let (o, s, _) = budget_search(
-        u,
-        spec,
-        budget,
-        &RunLimits::nodes_only(max_nodes),
-        SymmetryMode::Off,
-        None,
-    );
-    (o, s)
-}
-
-/// Reference implementation on the multiplicity (`Vec<u32>`) kernel
-/// regardless of the spec — the pre-bitset search path, kept callable for
-/// differential tests and before/after benchmarking.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api` \
-            (engine \"legacy\")"
-)]
-pub fn cover_spec_within_budget_legacy(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    budget: u32,
-    max_nodes: u64,
-) -> (Outcome, Stats) {
-    let (o, s, _) = budget_search_legacy(u, spec, budget, &RunLimits::nodes_only(max_nodes));
-    (o, s)
-}
-
-/// [`cover_spec_within_budget`] for the standard all-of-`K_n` spec.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api`: \
-            engine \"bitset\" with `Objective::WithinBudget`; \
-            `SolveRequest::with_symmetry(SymmetryMode::Off)` reproduces this \
-            function's exact search"
-)]
-pub fn cover_within_budget(u: &TileUniverse, budget: u32, max_nodes: u64) -> (Outcome, Stats) {
-    let spec = CoverSpec::complete(u.ring().n());
-    let (o, s, _) = budget_search(
-        u,
-        &spec,
-        budget,
-        &RunLimits::nodes_only(max_nodes),
-        SymmetryMode::Off,
-        None,
-    );
-    (o, s)
-}
-
-/// Parallel variant: the tree is expanded breadth-first into a frontier of
-/// independent prefixes (several per thread), which a work-sharing `rayon`
-/// scope drains with a shared early-exit flag and node budget. Semantics
-/// match [`cover_spec_within_budget`] (up to which feasible solution is
-/// found). `threads = 0` uses the available parallelism.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api`: \
-            engine \"bitset-parallel\" (or `ExecPolicy::Parallel`); \
-            `SolveRequest::with_symmetry(SymmetryMode::Off)` reproduces this \
-            function's exact search"
-)]
-pub fn cover_spec_within_budget_parallel(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    budget: u32,
-    max_nodes: u64,
-    threads: usize,
-) -> (Outcome, Stats) {
-    let (o, s, _) = budget_search_parallel(
-        u,
-        spec,
-        budget,
-        &RunLimits::nodes_only(max_nodes),
-        threads,
-        DEFAULT_PREFIX_PER_THREAD,
-        SymmetryMode::Off,
-        None,
-    );
-    (o, s)
 }
 
 /// Frontier prefixes expanded per thread when the caller does not choose
 /// (`prefix_depth = 3` in [`crate::api::ExecPolicy::Parallel`] terms).
 pub(crate) const DEFAULT_PREFIX_PER_THREAD: usize = 8;
 
-/// The recursive frontier-parallel driver (λ-fold specs; unit specs run
-/// `crate::search_core::search_iterative_parallel`, which mirrors this
-/// function stanza for stanza — a fix to either's scheduling logic
-/// belongs in both).
-fn search_parallel<K: Kernel>(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    budget: u32,
-    lim: &RunLimits,
-    threads: usize,
-    prefix_per_thread: usize,
-    sym: SymmetryMode,
-) -> (Outcome, Stats, Option<Exhaustion>) {
-    let max_nodes = lim.max_nodes;
-    // `num_threads(0)` = available parallelism, mirroring rayon's builder.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool");
-    let threads = pool.current_num_threads();
-    let mut root = SearchCtx::<K>::new(u, spec, budget, lim, sym);
-    if root.kernel.satisfied() {
-        return (Outcome::Feasible(Vec::new()), root.stats, None);
-    }
-    let root_infeasible = root.kernel.remaining_lb(u) > budget as u64
-        || (root.strong && root.kernel.strong_lb(u, budget as u64) > budget as u64);
-    if root_infeasible {
-        // Count the root node, matching what the sequential dfs reports
-        // for the identical workload.
-        return (
-            Outcome::Infeasible,
-            Stats {
-                nodes: 1,
-                pruned: 1,
-                sym_factor: 1,
-                ..Stats::default()
-            },
-            None,
-        );
-    }
-
-    // Breadth-first frontier expansion: keep splitting the shallowest
-    // prefix until there are enough independent tasks to keep every thread
-    // busy through subtree-size imbalance.
-    let target = threads * prefix_per_thread.max(1);
-    let mut frontier: VecDeque<Vec<u32>> = VecDeque::from([Vec::new()]);
-    while frontier.len() < target {
-        let Some(prefix) = frontier.pop_front() else {
-            break;
-        };
-        if let Some(cause) = lim.stop_requested() {
-            return (Outcome::NodeLimit, root.stats, Some(cause));
-        }
-        for &t in &prefix {
-            root.place(t);
-        }
-        let mut early: Option<Outcome> = None;
-        if root.kernel.satisfied() {
-            early = Some(Outcome::Feasible(root.chosen.clone()));
-        } else {
-            root.stats.nodes += 1;
-            let prefix_slack = (budget as u64).saturating_sub(root.chosen.len() as u64);
-            if root.stats.nodes > max_nodes {
-                early = Some(Outcome::NodeLimit);
-            } else if root.chosen.len() as u64 + root.kernel.remaining_lb(u)
-                > budget as u64
-                || (root.strong && root.kernel.strong_lb(u, prefix_slack) > prefix_slack)
-            {
-                // The prefix dies here; nothing gets enqueued.
-                root.stats.pruned += 1;
-            } else {
-                let branch = root.kernel.branch_chord().expect("unsatisfied");
-                for t in root.sorted_candidates(branch) {
-                    let mut child = prefix.clone();
-                    child.push(t);
-                    frontier.push_back(child);
-                }
-            }
-        }
-        for &t in prefix.iter().rev() {
-            root.unplace(t);
-        }
-        if let Some(outcome) = early {
-            let cause = matches!(outcome, Outcome::NodeLimit)
-                .then_some(Exhaustion::NodeBudget);
-            return (outcome, root.stats, cause);
-        }
-    }
-    let expand_stats = root.stats;
-    drop(root);
-    if frontier.is_empty() {
-        // Every prefix was pruned or expanded away: exhaustive.
-        return (Outcome::Infeasible, expand_stats, None);
-    }
-
-    let found = AtomicBool::new(false);
-    let limit_hit = AtomicBool::new(false);
-    // Why the first externally-stopped worker stopped (0 = none; see
-    // `encode_cause`). Deadline/cancel out-rank the node budget so a
-    // request that trips both reports the wall-clock cause.
-    let stop_cause = AtomicU8::new(0);
-    let nodes = AtomicU64::new(expand_stats.nodes);
-    let pruned = AtomicU64::new(expand_stats.pruned);
-    let dominated = AtomicU64::new(expand_stats.dominated);
-    let sym_pruned = AtomicU64::new(expand_stats.sym_pruned);
-    let sym_factor = AtomicU32::new(expand_stats.sym_factor);
-    let solution = std::sync::Mutex::new(None::<Vec<u32>>);
-
-    pool.scope(|scope| {
-        for prefix in &frontier {
-            let found = &found;
-            let limit_hit = &limit_hit;
-            let stop_cause = &stop_cause;
-            let nodes = &nodes;
-            let pruned = &pruned;
-            let dominated = &dominated;
-            let sym_pruned = &sym_pruned;
-            let sym_factor = &sym_factor;
-            let solution = &solution;
-            scope.spawn(move |_| {
-                if found.load(Ordering::Relaxed) {
-                    return;
-                }
-                // The node budget is global: every worker flushes its
-                // local count into `nodes` each 1024 nodes and aborts once
-                // the shared total passes `max_nodes`, so total work
-                // overshoots by at most `threads × 1024` nodes.
-                if nodes.load(Ordering::Relaxed) >= max_nodes {
-                    limit_hit.store(true, Ordering::Relaxed);
-                    stop_cause.fetch_max(encode_cause(Exhaustion::NodeBudget), Ordering::Relaxed);
-                    return;
-                }
-                // Workers inherit the deadline and cancellation flag (the
-                // per-worker node cap is lifted in favor of the shared
-                // counter above), so a wall-clock deadline stops every
-                // worker within ~4096 nodes.
-                let worker_lim = RunLimits {
-                    max_nodes: u64::MAX,
-                    deadline: lim.deadline,
-                    cancel: lim.cancel.clone(),
-                };
-                let mut ctx = SearchCtx::<K>::new(u, spec, budget, &worker_lim, sym);
-                ctx.early_exit = Some(found);
-                ctx.shared_nodes = Some((nodes, max_nodes));
-                for &t in prefix {
-                    ctx.place(t);
-                }
-                let ok = ctx.dfs();
-                // Flush the unsynced remainder so the reported total is exact.
-                ctx.sync_shared_nodes();
-                pruned.fetch_add(ctx.stats.pruned, Ordering::Relaxed);
-                dominated.fetch_add(ctx.stats.dominated, Ordering::Relaxed);
-                sym_pruned.fetch_add(ctx.stats.sym_pruned, Ordering::Relaxed);
-                sym_factor.fetch_max(ctx.stats.sym_factor, Ordering::Relaxed);
-                if ok {
-                    found.store(true, Ordering::Relaxed);
-                    *solution.lock().expect("poison-free") = Some(ctx.chosen.clone());
-                    return;
-                }
-                if ctx.hit_limit && !found.load(Ordering::Relaxed) {
-                    limit_hit.store(true, Ordering::Relaxed);
-                    if let Some(cause) = ctx.stop_cause {
-                        stop_cause.fetch_max(encode_cause(cause), Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-
-    let stats = Stats {
-        nodes: nodes.load(Ordering::Relaxed),
-        pruned: pruned.load(Ordering::Relaxed),
-        dominated: dominated.load(Ordering::Relaxed),
-        sym_pruned: sym_pruned.load(Ordering::Relaxed),
-        sym_factor: sym_factor.load(Ordering::Relaxed),
-        // The recursive parallel driver never runs the memo machinery
-        // (λ-fold specs only — the iterative core serves unit specs).
-        ..Stats::default()
-    };
-    let sol = solution.lock().expect("poison-free").take();
-    match sol {
-        Some(sol) => (Outcome::Feasible(sol), stats, None),
-        None if limit_hit.load(Ordering::Relaxed) => (
-            Outcome::NodeLimit,
-            stats,
-            Some(decode_cause(stop_cause.load(Ordering::Relaxed))),
-        ),
-        None => (Outcome::Infeasible, stats, None),
-    }
-}
-
-/// Ranks stop causes for the parallel aggregation (`fetch_max`): an
-/// explicit cancellation or deadline is more informative than "ran out of
-/// nodes", so it wins when workers disagree.
-pub(crate) fn encode_cause(c: Exhaustion) -> u8 {
-    match c {
-        Exhaustion::EngineLimit => 1,
-        Exhaustion::NodeBudget => 2,
-        Exhaustion::Deadline => 3,
-        Exhaustion::Cancelled => 4,
-        Exhaustion::Shutdown => 5,
-    }
-}
-
-pub(crate) fn decode_cause(code: u8) -> Exhaustion {
-    match code {
-        3 => Exhaustion::Deadline,
-        4 => Exhaustion::Cancelled,
-        5 => Exhaustion::Shutdown,
-        _ => Exhaustion::NodeBudget,
-    }
-}
-
 /// The deepening start budget for a spec: the combinatorial bound for the
-/// complete instance, the capacity bound otherwise. Shared by the
-/// deprecated `solve_optimal*` family and the [`crate::api`] engines so
-/// both explore the identical budget ladder.
+/// complete instance, the capacity bound otherwise. Every
+/// `FindOptimal` driver starts its budget ladder here.
 pub(crate) fn deepening_start(u: &TileUniverse, spec: &CoverSpec) -> u32 {
     let n = u.ring().n();
     let base = spec.capacity_lower_bound(u.ring());
@@ -1484,128 +986,52 @@ pub(crate) fn deepening_start(u: &TileUniverse, spec: &CoverSpec) -> u32 {
     }
 }
 
-/// Optimal covering by iterative deepening from the combinatorial lower
-/// bound. Returns the tiles and the optimum, or `None` if the node limit
-/// was hit before a conclusion.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api` \
-            (engine \"bitset\" with `Objective::FindOptimal`)"
-)]
-pub fn solve_optimal(u: &TileUniverse, max_nodes: u64) -> Option<(Vec<Tile>, u32, Stats)> {
-    let spec = CoverSpec::complete(u.ring().n());
-    solve_optimal_spec_with(u, &spec, budget_search_off, max_nodes)
-}
-
-/// [`budget_search`] pinned to [`SymmetryMode::Off`] with the memo
-/// disabled — the deprecated free functions' historical search, bit for
-/// bit.
-fn budget_search_off(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    budget: u32,
-    lim: &RunLimits,
-) -> (Outcome, Stats, Option<Exhaustion>) {
-    budget_search(u, spec, budget, lim, SymmetryMode::Off, None)
-}
-
-/// Optimal covering for an arbitrary [`CoverSpec`], by iterative deepening
-/// from the spec's capacity bound.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api` \
-            (engine \"bitset\" with `Objective::FindOptimal`)"
-)]
-pub fn solve_optimal_spec(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    max_nodes: u64,
-) -> Option<(Vec<Tile>, u32, Stats)> {
-    solve_optimal_spec_with(u, spec, budget_search_off, max_nodes)
-}
-
-/// [`solve_optimal_spec`] with every deepening step run on the parallel
-/// frontier search over `threads` threads.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api` \
-            (engine \"bitset-parallel\" with `Objective::FindOptimal`)"
-)]
-pub fn solve_optimal_spec_parallel(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    max_nodes: u64,
-    threads: usize,
-) -> Option<(Vec<Tile>, u32, Stats)> {
-    solve_optimal_spec_with(
-        u,
-        spec,
-        |u, spec, budget, lim| {
-            budget_search_parallel(
-                u,
-                spec,
-                budget,
-                lim,
-                threads,
-                DEFAULT_PREFIX_PER_THREAD,
-                SymmetryMode::Off,
-                None,
-            )
-        },
-        max_nodes,
-    )
-}
-
-fn solve_optimal_spec_with(
-    u: &TileUniverse,
-    spec: &CoverSpec,
-    run: impl Fn(&TileUniverse, &CoverSpec, u32, &RunLimits) -> (Outcome, Stats, Option<Exhaustion>),
-    max_nodes: u64,
-) -> Option<(Vec<Tile>, u32, Stats)> {
-    let lim = RunLimits::nodes_only(max_nodes);
-    let mut budget = deepening_start(u, spec);
-    let mut total = Stats::default();
-    loop {
-        let (outcome, stats, _) = run(u, spec, budget, &lim);
-        total.absorb(stats);
-        match outcome {
-            Outcome::Feasible(idx) => {
-                let tiles = idx.into_iter().map(|i| u.tile(i)).collect();
-                return Some((tiles, budget, total));
-            }
-            Outcome::Infeasible => budget += 1,
-            Outcome::NodeLimit => return None,
-        }
-    }
-}
-
-/// Certifies that no covering with at most `budget` tiles exists.
-/// Returns `Some(true)` for a completed infeasibility proof, `Some(false)`
-/// if a covering was found, `None` if the node limit was hit.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `SolveRequest`/`Engine` API in `cyclecover_solver::api` \
-            (`Objective::ProveInfeasible`)"
-)]
-pub fn prove_infeasible(u: &TileUniverse, budget: u32, max_nodes: u64) -> Option<bool> {
-    let spec = CoverSpec::complete(u.ring().n());
-    match budget_search_off(u, &spec, budget, &RunLimits::nodes_only(max_nodes)).0 {
-        Outcome::Infeasible => Some(true),
-        Outcome::Feasible(_) => Some(false),
-        Outcome::NodeLimit => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lower_bound::rho_formula;
     use cyclecover_graph::EdgeMultiset;
-    use cyclecover_ring::Ring;
+    use cyclecover_ring::{Ring, Tile};
 
-    // Kernel-level wrappers over the engine internals, mirroring the
-    // deprecated free functions' signatures (the public path is covered
-    // by `api`'s tests and `tests/engine_conformance.rs`).
+    // Kernel-level wrappers over the engine internals (the public path
+    // is covered by `api`'s tests and `tests/engine_conformance.rs`).
+
+    /// [`budget_search`] pinned to [`SymmetryMode::Off`] with the memo
+    /// disabled: the historical pre-symmetry search, bit for bit.
+    fn budget_search_off(
+        u: &TileUniverse,
+        spec: &CoverSpec,
+        budget: u32,
+        lim: &RunLimits,
+    ) -> (Outcome, Stats, Option<Exhaustion>) {
+        budget_search(u, spec, budget, lim, SymmetryMode::Off, None)
+    }
+
+    /// Iterative deepening from [`deepening_start`] over `run`: the
+    /// covering and the optimum, or `None` at the node limit.
+    fn solve_optimal_spec_with(
+        u: &TileUniverse,
+        spec: &CoverSpec,
+        run: impl Fn(&TileUniverse, &CoverSpec, u32, &RunLimits) -> (Outcome, Stats, Option<Exhaustion>),
+        max_nodes: u64,
+    ) -> Option<(Vec<Tile>, u32, Stats)> {
+        let lim = RunLimits::nodes_only(max_nodes);
+        let mut budget = deepening_start(u, spec);
+        let mut total = Stats::default();
+        loop {
+            let (outcome, stats, _) = run(u, spec, budget, &lim);
+            total.absorb(stats);
+            match outcome {
+                Outcome::Feasible(idx) => {
+                    let tiles = idx.into_iter().map(|i| u.tile(i)).collect();
+                    return Some((tiles, budget, total));
+                }
+                Outcome::Infeasible => budget += 1,
+                Outcome::NodeLimit => return None,
+            }
+        }
+    }
+
     fn within(u: &TileUniverse, spec: &CoverSpec, budget: u32, max_nodes: u64) -> (Outcome, Stats) {
         let (o, s, _) = budget_search_off(u, spec, budget, &RunLimits::nodes_only(max_nodes));
         (o, s)

@@ -48,15 +48,11 @@
 //!     unchanged.
 
 use crate::api::Exhaustion;
-use crate::bitset::{ChordSet, LaneSet, LANES_PER_WORD, LANE_LOW};
 use crate::bnb::{CoverSpec, Outcome, RunLimits, Stats, SymmetryMode};
-use crate::lower_bound::{diameter_slack_bound, parity_join_bound_from_odd};
+use crate::harness::{conclude, NodeMeter, OrbitFilter, Search};
 use crate::memo::{MemoStore, KEY_WORDS};
-use crate::search_core::LaneTables;
-use crate::tiles::DihedralTables;
+use crate::search_core::{live_coverage, Dominance, Enter, Frame, LaneState, LaneTables};
 use crate::TileUniverse;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
 
 /// A (mutable) exact-cover problem instance.
 ///
@@ -287,30 +283,6 @@ impl ExactCover {
 // The slack-budgeted partition kernel
 // ---------------------------------------------------------------------------
 
-/// Per-depth iteration state of the partition kernel — the lane/bitset
-/// cores' frame, with candidates staged by the MRV column choice.
-#[derive(Default)]
-struct PartFrame {
-    /// `(tile, live coverage, exact waste increment)` scoring scratch.
-    scored: Vec<(u32, u32, u32)>,
-    /// Candidates surviving the waste filter, dominance, and orbit
-    /// filtering, in order.
-    cands: Vec<u32>,
-    cursor: usize,
-    /// Residual-state key/hash at node entry (memo bookkeeping).
-    key: [u64; KEY_WORDS],
-    hash: u64,
-    memoable: bool,
-}
-
-/// What happened when the loop entered a node.
-enum PartEnter {
-    Solved,
-    Abort,
-    Dead,
-    Ready,
-}
-
 /// The slack-budgeted exact-cover search over packed residual lanes —
 /// [`crate::search_core`]'s lane core re-armed for capacity-tight
 /// instances. See the module docs for the column/row/waste-budget
@@ -329,16 +301,8 @@ pub(crate) struct PartitionCore<'a> {
     /// Invariant: `placed·n = covered-dist + waste_used`, and the
     /// candidate filter keeps `waste_used ≤ slack` at every node.
     waste_used: u64,
-
-    // ---- residual state, maintained on place/unplace ----
-    residual: LaneSet,
-    /// Chords with residual > 0 — the unit-machinery view of the state.
-    support: ChordSet,
-    rem_dist: u64,
-    rem_diam: u64,
-    deg: Vec<u32>,
-    odd: u64,
-    hash: u64,
+    /// The residual lanes, shared in form with the lane core.
+    state: LaneState,
 
     // ---- MRV tables ----
     /// Static tile wastes (`n − load`) of each chord's candidates,
@@ -349,34 +313,13 @@ pub(crate) struct PartitionCore<'a> {
     waste_sorted: Vec<u32>,
     waste_off: Vec<u32>,
 
-    // ---- the explicit stack ----
-    frames: Vec<PartFrame>,
-    /// `undo[d]`: per lane word, the decrement mask depth `d` applied.
-    undo: Vec<Vec<u64>>,
+    frames: Vec<Frame>,
     chosen: Vec<u32>,
-
-    // ---- dominance arena ----
-    dom_masks: Vec<ChordSet>,
-    dom_spans: Vec<(u32, u32)>,
-
-    // ---- statistics and limits ----
+    dominance: Dominance,
     stats: Stats,
-    max_nodes: u64,
-    hit_limit: bool,
-    stop_cause: Option<Exhaustion>,
-    deadline: Option<Instant>,
-    cancel: Option<&'a AtomicBool>,
-
-    // ---- symmetry (pointwise, as the lane core) ----
-    mode: SymmetryMode,
-    strong: bool,
-    sym: Option<&'a DihedralTables>,
-    spec_group: u64,
-    stab_stack: Vec<u64>,
-    sym_seen: Vec<u64>,
-    sym_stamp: u64,
-
-    // ---- memo (lane width 3: waste-slack entries) ----
+    /// Pointwise, as the lane core.
+    orbits: OrbitFilter<'a>,
+    /// Memo at lane width 3: waste-slack entries.
     store: Option<&'a MemoStore>,
     gen: u32,
 }
@@ -386,43 +329,19 @@ impl<'a> PartitionCore<'a> {
         u: &'a TileUniverse,
         spec: &CoverSpec,
         budget: u32,
-        lim: &'a RunLimits,
         requested: SymmetryMode,
         store: Option<&'a MemoStore>,
         lanes: &'a LaneTables,
     ) -> Self {
-        let m = u.num_chords();
-        assert_eq!(spec.demand.len(), m as usize, "spec size mismatch");
         assert!(
             spec.max_demand() <= 3,
             "partition kernel requires demands ≤ 3"
         );
-        let strong = requested != SymmetryMode::Off;
-        let (mode, sym, spec_group) = crate::bnb::resolve_symmetry(u, spec, requested);
-
+        let m = u.num_chords();
         let n = u.ring().n();
-        let diam = u.diam_chords();
-        let mut residual = LaneSet::zero(m);
-        let mut support = ChordSet::empty(m);
-        let mut rem_dist = 0u64;
-        let mut rem_diam = 0u64;
-        let mut deg = vec![0u32; n as usize];
-        for pri in 0..m {
-            let need = spec.demand[u.dense_of_pri(pri) as usize];
-            if need > 0 {
-                residual.set(pri, need);
-                support.insert(pri);
-                rem_dist += need as u64 * u.dist_of_pri(pri) as u64;
-                if pri < diam {
-                    rem_diam += need as u64;
-                }
-                let (a, b) = u.chord_ends_of_pri(pri);
-                deg[a as usize] += need;
-                deg[b as usize] += need;
-            }
-        }
-        let odd = deg.iter().filter(|&&d| d & 1 == 1).count() as u64;
-        let slack = (budget as u64 * n as u64).saturating_sub(rem_dist);
+        let store = store.filter(|s| s.compatible(u));
+        let state = LaneState::new(u, spec, store);
+        let slack = (budget as u64 * n as u64).saturating_sub(state.rem_dist);
 
         let mut waste_off = Vec::with_capacity(m as usize + 1);
         waste_off.push(0u32);
@@ -434,18 +353,6 @@ impl<'a> PartitionCore<'a> {
             waste_off.push(waste_sorted.len() as u32);
         }
 
-        let store = store.filter(|s| s.compatible(u));
-        let gen = store.map_or(0, |s| s.attach());
-        let hash = store.map_or(0, |s| {
-            support.iter().fold(0u64, |mut h, c| {
-                for v in 1..=residual.get(c) {
-                    h ^= s.chord_level_key(c, v);
-                }
-                h
-            })
-        });
-
-        let max_cands = u.max_candidates() as usize;
         PartitionCore {
             u,
             lanes,
@@ -453,43 +360,20 @@ impl<'a> PartitionCore<'a> {
             n,
             slack,
             waste_used: 0,
-            residual,
-            support,
-            rem_dist,
-            rem_diam,
-            deg,
-            odd,
-            hash,
+            state,
             waste_sorted,
             waste_off,
             frames: Vec::new(),
-            undo: Vec::new(),
             chosen: Vec::new(),
-            dom_masks: (0..max_cands).map(|_| ChordSet::empty(m)).collect(),
-            dom_spans: vec![(0, 0); max_cands],
+            dominance: Dominance::new(u),
             stats: Stats {
                 sym_factor: 1,
                 partition_probes: 1,
                 ..Stats::default()
             },
-            max_nodes: lim.max_nodes,
-            hit_limit: false,
-            stop_cause: None,
-            deadline: lim.deadline,
-            cancel: lim.cancel.as_ref().map(|c| c.flag()),
-            mode,
-            strong,
-            sym,
-            spec_group,
-            stab_stack: if mode == SymmetryMode::Full {
-                vec![spec_group]
-            } else {
-                Vec::new()
-            },
-            sym_seen: Vec::new(),
-            sym_stamp: 0,
+            orbits: OrbitFilter::new(u, spec, requested),
             store,
-            gen,
+            gen: store.map_or(0, |s| s.attach()),
         }
     }
 
@@ -498,50 +382,9 @@ impl<'a> PartitionCore<'a> {
     /// increment is `n` minus the distance of the chords it newly
     /// decremented.
     fn place(&mut self, t: u32) {
-        if self.mode == SymmetryMode::Full {
-            let top = *self.stab_stack.last().expect("stab stack seeded");
-            let stab = self.sym.expect("tables exist in Full mode").tile_stab(t);
-            self.stab_stack.push(top & stab);
-        }
+        self.orbits.push(t);
         let depth = self.chosen.len();
-        if self.undo.len() == depth {
-            self.undo.push(vec![0u64; self.lanes.lane_words()]);
-        }
-        let (llo, lhi) = self.lanes.span(t);
-        let diam = self.u.diam_chords();
-        let mut useful = 0u64;
-        for w in llo as usize..lhi as usize {
-            let before = self.residual.words()[w];
-            let sub = self.residual.place_word(w, self.lanes.mask(t)[w]);
-            self.undo[depth][w] = sub;
-            let mut m = sub;
-            while m != 0 {
-                let p = m.trailing_zeros();
-                let c = (w as u32) * LANES_PER_WORD + p / 2;
-                let old = (before >> p & 0b11) as u32;
-                let d = self.u.dist_of_pri(c) as u64;
-                useful += d;
-                self.rem_dist -= d;
-                self.rem_diam -= (c < diam) as u64;
-                let (a, b) = self.u.chord_ends_of_pri(c);
-                for v in [a, b] {
-                    let dv = &mut self.deg[v as usize];
-                    if *dv & 1 == 1 {
-                        self.odd -= 1;
-                    } else {
-                        self.odd += 1;
-                    }
-                    *dv -= 1;
-                }
-                if old == 1 {
-                    self.support.remove(c);
-                }
-                if let Some(store) = self.store {
-                    self.hash ^= store.chord_level_key(c, old);
-                }
-                m &= m - 1;
-            }
-        }
+        let useful = self.state.place(self.u, self.lanes, self.store, depth, t);
         debug_assert!(useful <= self.n as u64, "a tile covers at most one cycle length");
         self.waste_used += self.n as u64 - useful;
         self.chosen.push(t);
@@ -551,82 +394,9 @@ impl<'a> PartitionCore<'a> {
     fn unplace(&mut self) {
         let t = self.chosen.pop().expect("unplace without place");
         let depth = self.chosen.len();
-        let (llo, lhi) = self.lanes.span(t);
-        let diam = self.u.diam_chords();
-        let mut useful = 0u64;
-        for w in llo as usize..lhi as usize {
-            let sub = self.undo[depth][w];
-            if sub == 0 {
-                continue;
-            }
-            self.residual.unplace_word(w, sub);
-            let after = self.residual.words()[w];
-            let mut m = sub;
-            while m != 0 {
-                let p = m.trailing_zeros();
-                let c = (w as u32) * LANES_PER_WORD + p / 2;
-                let val = (after >> p & 0b11) as u32;
-                let d = self.u.dist_of_pri(c) as u64;
-                useful += d;
-                self.rem_dist += d;
-                self.rem_diam += (c < diam) as u64;
-                let (a, b) = self.u.chord_ends_of_pri(c);
-                for v in [a, b] {
-                    let dv = &mut self.deg[v as usize];
-                    if *dv & 1 == 1 {
-                        self.odd -= 1;
-                    } else {
-                        self.odd += 1;
-                    }
-                    *dv += 1;
-                }
-                if val == 1 {
-                    self.support.insert(c);
-                }
-                if let Some(store) = self.store {
-                    self.hash ^= store.chord_level_key(c, val);
-                }
-                m &= m - 1;
-            }
-        }
+        let useful = self.state.unplace(self.u, self.lanes, self.store, depth, t);
         self.waste_used -= self.n as u64 - useful;
-        if self.mode == SymmetryMode::Full {
-            self.stab_stack.pop();
-        }
-    }
-
-    /// The cheap bound trio (capacity / diameter / vertex degree) over
-    /// the residual-weighted ingredients — the lane core's bound. The
-    /// capacity term is the waste budget seen from the other side:
-    /// `used + ⌈rem_dist/n⌉ > budget ⟺ waste_used > slack − (future
-    /// minimum waste)`.
-    fn remaining_lb(&self) -> u64 {
-        let n = self.n as u64;
-        let mut lb = self.rem_dist.div_ceil(n).max(self.rem_diam);
-        for &d in &self.deg {
-            lb = lb.max((d as u64).div_ceil(2));
-        }
-        lb
-    }
-
-    /// The strong bound: parity/T-join first, then the diameter-slack
-    /// dual over the support set — both valid under multiplicities for
-    /// the same reasons as in the lane core.
-    fn strong_lb(&self, stop_above: u64) -> u64 {
-        let parity = parity_join_bound_from_odd(self.n, self.rem_dist, self.odd);
-        if parity > stop_above {
-            return parity;
-        }
-        diameter_slack_bound(self.u, &self.support, self.rem_dist, stop_above).max(parity)
-    }
-
-    /// The memo key: the packed residual lane words, zero-padded.
-    fn state_key(&self) -> [u64; KEY_WORDS] {
-        let words = self.residual.words();
-        debug_assert!(words.len() <= KEY_WORDS, "store.compatible caps chords at 128");
-        let mut key = [0u64; KEY_WORDS];
-        key[..words.len()].copy_from_slice(words);
-        key
+        self.orbits.pop();
     }
 
     /// MRV column selection: the support chord with the fewest
@@ -639,7 +409,7 @@ impl<'a> PartitionCore<'a> {
         let rem_slack = self.slack - self.waste_used;
         let mut best = 0u32;
         let mut best_count = usize::MAX;
-        for c in self.support.iter() {
+        for c in self.state.support.iter() {
             let lo = self.waste_off[c as usize] as usize;
             let hi = self.waste_off[c as usize + 1] as usize;
             let count = self.waste_sorted[lo..hi].partition_point(|&w| w as u64 <= rem_slack);
@@ -656,66 +426,50 @@ impl<'a> PartitionCore<'a> {
 
     /// One node's entry sequence: satisfied / limits / bounds / memo /
     /// candidate staging — the lane core's, with the MRV branch choice
-    /// and the waste-slack memo domain.
-    fn enter_node(&mut self, check_memo: bool) -> PartEnter {
-        if self.support.is_empty() {
-            return PartEnter::Solved;
+    /// and the waste-slack memo domain. The capacity term of the bound
+    /// is the waste budget seen from the other side: `used +
+    /// ⌈rem_dist/n⌉ > budget ⟺ waste_used > slack − (future minimum
+    /// waste)`.
+    fn enter_node(&mut self, meter: &mut NodeMeter, check_memo: bool) -> Enter {
+        if self.state.support.is_empty() {
+            return Enter::Solved;
         }
-        self.stats.nodes += 1;
-        if self.stats.nodes > self.max_nodes {
-            self.hit_limit = true;
-            self.stop_cause = Some(Exhaustion::NodeBudget);
-            return PartEnter::Abort;
-        }
-        if self.stats.nodes.is_multiple_of(4096) {
-            if let Some(flag) = self.cancel {
-                if flag.load(Ordering::Relaxed) {
-                    self.hit_limit = true;
-                    self.stop_cause = Some(Exhaustion::Cancelled);
-                    return PartEnter::Abort;
-                }
-            }
-            if let Some(d) = self.deadline {
-                if Instant::now() >= d {
-                    self.hit_limit = true;
-                    self.stop_cause = Some(Exhaustion::Deadline);
-                    return PartEnter::Abort;
-                }
-            }
+        if !meter.enter(&mut self.stats.nodes) {
+            return Enter::Abort;
         }
         debug_assert!(
             self.waste_used <= self.slack,
             "the candidate filter keeps every placement within the waste budget"
         );
         let used = self.chosen.len() as u64;
-        if used + self.remaining_lb() > self.budget as u64 {
+        if used + self.state.remaining_lb(self.n) > self.budget as u64 {
             self.stats.pruned += 1;
-            return PartEnter::Dead;
+            return Enter::Dead;
         }
-        if self.strong {
+        if self.orbits.strong() {
             let slack_tiles = self.budget as u64 - used;
-            if self.strong_lb(slack_tiles) > slack_tiles {
+            if self.state.strong_lb(self.u, slack_tiles) > slack_tiles {
                 self.stats.pruned += 1;
-                return PartEnter::Dead;
+                return Enter::Dead;
             }
         }
         let mut key = [0u64; KEY_WORDS];
         let mut khash = 0u64;
         let mut memoable = false;
         if let Some(store) = self.store {
-            let k = self.state_key();
+            let k = self.state.key();
             if check_memo {
                 let rem_slack = (self.slack - self.waste_used) as u32;
-                if let Some(owner) = store.dominated(self.hash, k, 3, rem_slack) {
+                if let Some(owner) = store.dominated(self.state.hash, k, 3, rem_slack) {
                     self.stats.memo_hits += 1;
                     if owner != self.gen {
                         self.stats.shared_hits += 1;
                     }
-                    return PartEnter::Dead;
+                    return Enter::Dead;
                 }
             }
             key = k;
-            khash = self.hash;
+            khash = self.state.hash;
             memoable = true;
         }
         let branch = self.choose_branch();
@@ -726,7 +480,7 @@ impl<'a> PartitionCore<'a> {
         f.key = key;
         f.hash = khash;
         f.memoable = memoable;
-        PartEnter::Ready
+        Enter::Ready
     }
 
     /// Scores the branch chord's candidates with their **exact** waste
@@ -738,33 +492,12 @@ impl<'a> PartitionCore<'a> {
     /// never exceeds its dominated tile's.
     fn fill_candidates(&mut self, branch: u32) {
         let depth = self.chosen.len();
-        while self.frames.len() <= depth {
-            self.frames.push(PartFrame::default());
-        }
+        let (mut scored, mut cands) = Frame::take(&mut self.frames, depth);
         let u = self.u;
         let n = self.n;
         let rem_slack = self.slack - self.waste_used;
-        let mut scored = std::mem::take(&mut self.frames[depth].scored);
-        let mut cands = std::mem::take(&mut self.frames[depth].cands);
-        scored.clear();
-        cands.clear();
         for &t in u.candidates_pri(branch) {
-            let (lo, hi) = u.tile_mask_span(t);
-            let mut cov = 0u32;
-            let mut useful = 0u32;
-            for (wi, (a, b)) in u.tile_mask(t)[lo as usize..hi as usize]
-                .iter()
-                .zip(&self.support.words()[lo as usize..hi as usize])
-                .enumerate()
-            {
-                let mut w = a & b;
-                cov += w.count_ones();
-                while w != 0 {
-                    let i = (lo + wi as u32) * 64 + w.trailing_zeros();
-                    useful += u.dist_of_pri(i);
-                    w &= w - 1;
-                }
-            }
+            let (cov, useful) = live_coverage(u, &self.state.support, t);
             if cov > 0 {
                 debug_assert!(useful <= n, "a tile covers at most one cycle length");
                 let waste = n - useful;
@@ -779,104 +512,53 @@ impl<'a> PartitionCore<'a> {
             }
         }
         scored.sort_by_key(|&(_, cov, waste)| (std::cmp::Reverse(cov), waste));
-
-        let c = scored.len();
-        debug_assert!(c <= self.dom_masks.len(), "arena sized from max_candidates");
-        if c > 1 {
-            for (slot, &(t, _, _)) in scored.iter().enumerate() {
-                let (lo, hi) = u.tile_mask_span(t);
-                let (plo, phi) = self.dom_spans[slot];
-                self.dom_masks[slot].clear_words(plo as usize, phi as usize);
-                self.dom_masks[slot].assign_intersection_in(
-                    u.tile_mask(t),
-                    &self.support,
-                    lo as usize,
-                    hi as usize,
-                );
-                self.dom_spans[slot] = (lo, hi);
-            }
-            for (i, &(t, _, _)) in scored.iter().enumerate() {
-                if i > 0 {
-                    let (lo, hi) = u.tile_mask_span(t);
-                    let (earlier, rest) = self.dom_masks.split_at(i);
-                    let mask_i = &rest[0];
-                    if earlier
-                        .iter()
-                        .any(|prior| mask_i.is_subset_of_in(prior, lo as usize, hi as usize))
-                    {
-                        self.stats.dominated += 1;
-                        continue;
-                    }
-                }
-                cands.push(t);
-            }
-        } else {
-            cands.extend(scored.iter().map(|&(t, _, _)| t));
-        }
-
-        self.filter_symmetric(branch, &mut cands);
+        self.dominance
+            .filter(u, &self.state.support, &scored, &mut cands, &mut self.stats);
+        self.orbits
+            .filter(branch, depth, None, &mut cands, &mut self.stats);
         let f = &mut self.frames[depth];
         f.scored = scored;
         f.cands = cands;
     }
 
-    /// Sibling orbit filtering, pointwise only — the lane core's rule
-    /// verbatim: `Root` at the empty prefix under the spec group,
-    /// `Full` at every depth under the pointwise prefix stabilizer.
-    fn filter_symmetric(&mut self, branch: u32, cands: &mut Vec<u32>) {
-        let Some(sym) = self.sym else { return };
-        let group = match self.mode {
-            SymmetryMode::Off => return,
-            SymmetryMode::Root => {
-                if !self.chosen.is_empty() {
-                    return;
-                }
-                self.spec_group
-            }
-            SymmetryMode::Full => *self.stab_stack.last().expect("stab stack seeded"),
+    /// Probes the store for candidate `t`'s child residual state before
+    /// placing it, under the child's remaining *waste* slack — the lane
+    /// core's pre-probe in the waste-slack domain.
+    fn skip_candidate(&mut self, t: u32) -> bool {
+        let Some(store) = self.store else {
+            return false;
         };
-        let filter = group & sym.chord_stab(branch);
-        if self.chosen.is_empty() {
-            self.stats.sym_factor = self.stats.sym_factor.max(filter.count_ones());
+        let (key, h, useful) = self.state.child_key(self.u, self.lanes, store, t);
+        if key == [0; KEY_WORDS] {
+            return false;
         }
-        if filter & !1 == 0 {
-            return;
-        }
-        if self.sym_seen.len() < sym.num_tiles() as usize {
-            self.sym_seen.resize(sym.num_tiles() as usize, 0);
-        }
-        self.sym_stamp += 1;
-        let stamp = self.sym_stamp;
-        let sym_seen = &mut self.sym_seen;
-        let stats = &mut self.stats;
-        cands.retain(|&t| {
-            let mut elements = filter & !1;
-            while elements != 0 {
-                let g = elements.trailing_zeros();
-                elements &= elements - 1;
-                let image = sym.tile_image(g, t);
-                if image != t && sym_seen[image as usize] == stamp {
-                    stats.sym_pruned += 1;
-                    return false;
-                }
+        // Candidates were filtered against the node's slack, so the
+        // child's remaining waste budget never underflows.
+        let child_rem = self.slack - self.waste_used - (self.n as u64 - useful);
+        if let Some(owner) = store.dominated(h, key, 3, child_rem as u32) {
+            self.stats.memo_hits += 1;
+            if owner != self.gen {
+                self.stats.shared_hits += 1;
             }
-            sym_seen[t as usize] = stamp;
-            true
-        });
+            return true;
+        }
+        false
     }
+}
 
+impl Search for PartitionCore<'_> {
     /// Drives the search from the current placement depth — the lane
     /// core's loop with waste-slack memo records.
-    fn run(&mut self) -> bool {
+    fn run(&mut self, meter: &mut NodeMeter) -> bool {
         let base = self.chosen.len();
         let mut entering = true;
         let mut check_memo = true;
         loop {
             if entering {
-                match self.enter_node(check_memo) {
-                    PartEnter::Solved => return true,
-                    PartEnter::Abort => return false,
-                    PartEnter::Dead => {
+                match self.enter_node(meter, check_memo) {
+                    Enter::Solved => return true,
+                    Enter::Abort => return false,
+                    Enter::Dead => {
                         if self.chosen.len() == base {
                             return false;
                         }
@@ -884,7 +566,7 @@ impl<'a> PartitionCore<'a> {
                         entering = false;
                         continue;
                     }
-                    PartEnter::Ready => {}
+                    Enter::Ready => {}
                 }
             }
             let depth = self.chosen.len();
@@ -916,49 +598,8 @@ impl<'a> PartitionCore<'a> {
         }
     }
 
-    /// Probes the store for candidate `t`'s child residual state before
-    /// placing it, under the child's remaining *waste* slack — the lane
-    /// core's pre-probe in the waste-slack domain.
-    fn skip_candidate(&mut self, t: u32) -> bool {
-        let Some(store) = self.store else {
-            return false;
-        };
-        let mut key = self.state_key();
-        let mut h = self.hash;
-        let mut useful = 0u64;
-        let (llo, lhi) = self.lanes.span(t);
-        for (w, kw) in key
-            .iter_mut()
-            .enumerate()
-            .take(lhi as usize)
-            .skip(llo as usize)
-        {
-            let r = *kw;
-            let sub = (r | r >> 1) & self.lanes.mask(t)[w] & LANE_LOW;
-            *kw = r - sub;
-            let mut m = sub;
-            while m != 0 {
-                let p = m.trailing_zeros();
-                let c = (w as u32) * LANES_PER_WORD + p / 2;
-                useful += self.u.dist_of_pri(c) as u64;
-                h ^= store.chord_level_key(c, (r >> p & 0b11) as u32);
-                m &= m - 1;
-            }
-        }
-        if key == [0; KEY_WORDS] {
-            return false;
-        }
-        // Candidates were filtered against the node's slack, so the
-        // child's remaining waste budget never underflows.
-        let child_rem = self.slack - self.waste_used - (self.n as u64 - useful);
-        if let Some(owner) = store.dominated(h, key, 3, child_rem as u32) {
-            self.stats.memo_hits += 1;
-            if owner != self.gen {
-                self.stats.shared_hits += 1;
-            }
-            return true;
-        }
-        false
+    fn chosen(&self) -> &[u32] {
+        &self.chosen
     }
 
     /// Final statistics (stamps the store's resident entry count).
@@ -970,7 +611,7 @@ impl<'a> PartitionCore<'a> {
 
 /// Budgeted search through the slack-budgeted partition kernel — the
 /// engine path for capacity-tight instances with demands ≤ 3. Same
-/// contract as `search_lanes`; `stats.partition_probes` records the
+/// contract as the lane core's; `stats.partition_probes` records the
 /// route for certificate provenance.
 pub(crate) fn search_partition(
     u: &TileUniverse,
@@ -981,16 +622,7 @@ pub(crate) fn search_partition(
     store: Option<&MemoStore>,
 ) -> (Outcome, Stats, Option<Exhaustion>) {
     let lanes = LaneTables::build(u);
-    let mut core = PartitionCore::new(u, spec, budget, lim, sym, store, &lanes);
-    if core.run() {
-        let chosen = core.chosen.clone();
-        (Outcome::Feasible(chosen), core.take_stats(), None)
-    } else if core.hit_limit {
-        let cause = core.stop_cause;
-        (Outcome::NodeLimit, core.take_stats(), cause)
-    } else {
-        (Outcome::Infeasible, core.take_stats(), None)
-    }
+    conclude(PartitionCore::new(u, spec, budget, sym, store, &lanes), lim)
 }
 
 #[cfg(test)]

@@ -66,9 +66,10 @@
 //!   dominance memo — Zobrist-keyed, byte-budgeted via
 //!   [`bnb::MemoConfig`], with canonical dihedral state keying under
 //!   `SymmetryMode::Full`); the recursive bitset path survives as the
-//!   differential reference ([`bnb::budget_search_reference`]) and the
-//!   legacy multiplicity kernel serves λ-fold specs. The old free
-//!   functions remain as deprecated wrappers over the engine internals;
+//!   differential reference ([`bnb::budget_search_reference`]), λ ≤ 3
+//!   specs run the 2-bit lane core, and the legacy multiplicity kernel
+//!   serves demands > 3. All of them share one harness: one node meter,
+//!   one dihedral orbit filter and one frontier-parallel driver;
 //! * [`dlx`] — the slack-budgeted exact-cover kernel behind the
 //!   `partition` and `dlx` engines (MRV chord selection, exact-waste
 //!   candidate filtering against the budget's slack
@@ -92,6 +93,7 @@ pub mod greedy;
 pub mod improve;
 pub mod lower_bound;
 mod memo;
+mod harness;
 mod search_core;
 mod tiles;
 

@@ -157,6 +157,46 @@ fn exact_engines_agree_on_lambda_fold_optima() {
     }
 }
 
+/// Demands above 3 fit no packed lane, so `bitset` and `bitset-parallel`
+/// both fall back to the recursive multiplicity kernel — sequentially and
+/// on the frontier driver. Each must land on the same λ = 4 optimum as
+/// `legacy`, with a witness covering every request four times, and refute
+/// one cycle less (ρ₄(5) = 12 and ρ₄(6) = 18 sit at the capacity bound).
+#[test]
+fn exact_engines_agree_on_demand_four_optima() {
+    for (n, expected) in [(5u32, 12usize), (6, 18)] {
+        let problem = Problem::lambda_fold(n, 4);
+        for name in ["bitset", "bitset-parallel", "legacy"] {
+            let engine = engine_by_name(name).unwrap();
+            let sol = engine.solve(
+                &problem,
+                &SolveRequest::find_optimal().with_max_nodes(200_000_000),
+            );
+            assert!(
+                matches!(sol.optimality(), Optimality::Optimal { .. }),
+                "{name} n={n} λ=4: {:?}",
+                sol.optimality()
+            );
+            let tiles = sol.covering().expect("optimal carries covering");
+            assert_eq!(tiles.len(), expected, "{name}: ρ_4({n})");
+            assert!(
+                coverage_of(n, tiles).covers_complete(4),
+                "{name} n={n}: witness misses λ = 4 coverage"
+            );
+            let below = engine.solve(
+                &problem,
+                &SolveRequest::prove_infeasible(expected as u32 - 1)
+                    .with_max_nodes(200_000_000),
+            );
+            assert_eq!(
+                *below.optimality(),
+                Optimality::Infeasible,
+                "{name} n={n} λ=4 at ρ_4 − 1"
+            );
+        }
+    }
+}
+
 /// The DLX engine's declared scope: zero-slack specs — `λ·Σd(e)` must
 /// divide evenly by `n`, demands at most 3. That admits every odd
 /// complete instance (Theorem 1's partitions) *and* the even ones whose
