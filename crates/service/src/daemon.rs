@@ -2,17 +2,24 @@
 //! [`SolveService`].
 //!
 //! ```text
-//!             ┌───────────────────────── event-loop thread ──────────────┐
-//!  clients ──▶│ accept → LineFramer → Ingest ──┬─ reject doc ──▶ outbox  │
-//!             │     ▲ backpressure: reading    └─ admit ──▶ pending queue│
-//!             │     │ pauses when a conn's     (bounded; overload reject │
-//!             │     │ outbox is full            when full)               │
-//!             └─────┼───────────────────────────────▲────────────────────┘
-//!                   │ solution / reject docs        │ micro-batches
-//!             ┌─────┴─────────────── dispatcher thread ──────────────────┐
-//!             │ long-lived SolveService: EDF, coalescing, warm universe  │
-//!             │ cache + quarantine across generations, cost-model audit  │
-//!             └──────────────────────────────────────────────────────────┘
+//! clients ──▶ acceptor thread: blocking accept; each connection gets
+//!             a reader thread and a writer thread (past the limit:
+//!             one `overload` reject, then close)
+//! ┌─ reader thread, per connection ────────────────────────────────┐
+//! │ read → LineFramer → Ingest ─┬─ reject, stats ──▶ outbox        │
+//! │ (paused while the outbox    └─ admit ──▶ pending queue         │
+//! │  is full)                                                      │
+//! └────────────────────────────────────────────────┬───────────────┘
+//!         wakes the dispatcher once per read chunk ▼
+//! ┌─ dispatcher thread ────────────────────────────────────────────┐
+//! │ takes everything pending as one generation: long-lived         │
+//! │ SolveService (EDF, coalescing, warm universe cache,            │
+//! │ quarantine, cost-model audit) ──▶ each answer into its         │
+//! │ connection's outbox                                            │
+//! └────────────────────────────────────────────────────────────────┘
+//! ┌─ writer thread, per connection ────────────────────────────────┐
+//! │ waits on its outbox → blocking write_all ──▶ client            │
+//! └────────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! One TCP connection carries newline-delimited documents:
@@ -21,6 +28,15 @@
 //! `cyclecover-reject`, and `cyclecover-daemon-stats` out — all single
 //! lines. Framing, admission, and the stats document are specified in
 //! `docs/wire-format.md`.
+//!
+//! **Every hop wakes on work, not on a clock.** Sockets are blocking
+//! `std::net` sockets, and each hand-off is a condition variable: a
+//! reader wakes the dispatcher once per read chunk (so a streamed burst
+//! lands in one generation), the dispatcher takes whatever is pending
+//! when it wakes, and pushes each answer straight into its connection's
+//! outbox, which wakes that connection's writer. Thread count is bounded
+//! by the connection limit: two per connection, plus the acceptor and
+//! the dispatcher.
 //!
 //! **Backpressure** has two bounded queues. The *global* admission
 //! queue (capacity [`DaemonConfig::queue_depth`]) refuses further jobs
@@ -40,15 +56,16 @@
 //!
 //! **Graceful drain**: a `{"op": "shutdown"}` control document closes
 //! admission, cancels the service root token with
-//! [`CancelReason::Shutdown`](cyclecover_solver::api::CancelReason) so
-//! in-flight kernels stop within ~4096 nodes and report
-//! `budget_exhausted`/`shutdown`, lets the dispatcher answer everything
-//! still queued (unstarted groups are reported as such), flushes every
-//! connection, answers the requester with a final
-//! `cyclecover-daemon-stats` document, and returns. (Pure-std builds
-//! cannot install a SIGTERM handler without `unsafe`; the control
-//! document is the supported shutdown path and what
-//! `cyclecover client --shutdown` sends.)
+//! [`CancelReason::Shutdown`] so in-flight kernels stop within ~4096
+//! nodes and report `budget_exhausted`/`shutdown`, lets the dispatcher
+//! answer everything still queued (unstarted groups are reported as
+//! such), answers the requester with a final `cyclecover-daemon-stats`
+//! document, flushes and closes every connection (a peer that stops
+//! reading is cut off after a 5 s grace), and returns. Readers stop
+//! reading once the drain begins. (Pure-std builds cannot install a
+//! SIGTERM handler without `unsafe`; the control document is the
+//! supported shutdown path and what `cyclecover client --shutdown`
+//! sends.)
 
 use crate::certs::CertCache;
 use crate::predict::{CostModel, Prediction, SAFETY_FACTOR};
@@ -57,13 +74,13 @@ use cyclecover_io::json::{
     quote as json_escape, request_from_json, solution_to_json_with_id, to_single_line, Json,
     SolveJob,
 };
-use mio::net::{TcpListener, TcpStream};
-use mio::{Events, Interest, Poll, Token};
+use cyclecover_solver::api::{CancelReason, CancelToken};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::SocketAddr;
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -514,13 +531,11 @@ pub struct DaemonConfig {
     pub queue_depth: usize,
     /// Per-line byte bound; longer lines are rejected per-line.
     pub max_line_bytes: usize,
-    /// Event-loop tick and dispatcher micro-batch gather window.
-    pub tick: Duration,
 }
 
 impl Default for DaemonConfig {
     /// One worker, 64 MiB cache, 64 connections, depth-64 queues, 1 MiB
-    /// lines, 1 ms tick.
+    /// lines.
     fn default() -> Self {
         DaemonConfig {
             workers: 1,
@@ -528,83 +543,130 @@ impl Default for DaemonConfig {
             max_conns: 64,
             queue_depth: 64,
             max_line_bytes: 1 << 20,
-            tick: Duration::from_millis(1),
         }
     }
 }
 
-/// Shared state between the event loop and the dispatcher.
+/// How long a graceful drain lets connections flush before it cuts off
+/// peers that stopped reading.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
+
+/// Bytes asked of the socket per read. Each read chunk wakes the
+/// dispatcher once, so a streamed burst lands in one generation.
+const READ_CHUNK: usize = 64 << 10;
+
+/// State shared by the acceptor, the connection threads and the
+/// dispatcher.
 #[derive(Default)]
 struct SharedState {
     /// Global admission queue: `(connection id, job)`.
     pending: VecDeque<(u64, SolveJob)>,
-    /// Finished documents awaiting routing: `(connection id, line)`.
-    responses: Vec<(u64, String)>,
+    /// Open connections, by id: where answers are routed and what the
+    /// drain flushes.
+    conns: HashMap<u64, Arc<Conn>>,
+    next_conn_id: u64,
     draining: bool,
-    dispatcher_done: bool,
+    /// The connection whose `shutdown` began the drain; it receives the
+    /// final stats document.
+    drain_requester: Option<u64>,
     stats: DaemonStats,
 }
 
-type Shared = Arc<(Mutex<SharedState>, Condvar)>;
-
-fn lock(shared: &Shared) -> std::sync::MutexGuard<'_, SharedState> {
-    shared.0.lock().expect("daemon state poisoned")
+/// What every daemon thread shares. Lock order: no thread holds the
+/// state lock and a [`Conn`] lock at the same time.
+struct Hub {
+    state: Mutex<SharedState>,
+    /// Wakes the dispatcher: jobs are pending, or the drain began.
+    work: Condvar,
+    /// Wakes an acceptor whose `accept` failed: a connection closed
+    /// (freeing its descriptor), or the drain began.
+    closed: Condvar,
+    ingest: Ingest,
+    /// The service's root token; `shutdown` cancels it.
+    cancel: CancelToken,
+    queue_depth: usize,
+    max_line_bytes: usize,
+    started: Instant,
 }
 
-/// One live connection's event-loop state.
+impl Hub {
+    fn lock(&self) -> MutexGuard<'_, SharedState> {
+        self.state.lock().expect("daemon state poisoned")
+    }
+
+    /// A `cyclecover-daemon-stats` snapshot.
+    fn stats_json(&self) -> String {
+        let mut sh = self.lock();
+        sh.stats.wall = self.started.elapsed();
+        daemon_stats_json(&sh.stats)
+    }
+}
+
+/// One connection: the socket its reader and writer threads share, and
+/// the state they hand off to each other and to the dispatcher.
 struct Conn {
     id: u64,
     stream: TcpStream,
-    framer: LineFramer,
-    /// Framed lines read but not yet admitted (left over when
-    /// backpressure paused processing mid-burst).
-    lines: VecDeque<FramedLine>,
+    state: Mutex<ConnState>,
+    /// Signalled on every change to `state`.
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct ConnState {
     /// Response documents not yet handed to the socket.
     outbox: VecDeque<String>,
-    /// Partially-written current line.
-    wbuf: Vec<u8>,
-    wpos: usize,
     /// Jobs admitted from this connection whose terminal document has
-    /// not been routed back yet. An EOF connection (a client that
-    /// half-closed after streaming its jobs) is kept alive until this
-    /// reaches zero — closing the write side must not drop answers.
+    /// not been routed back yet. A client that half-closed after
+    /// streaming its jobs keeps the connection until this reaches zero:
+    /// closing the write side must not drop answers.
     outstanding: u64,
-    paused: bool,
+    /// The peer half-closed; no more requests will arrive.
     eof: bool,
+    /// The socket is finished: an I/O error, or the writer closed it.
     dead: bool,
+    /// The drain is flushing: the writer closes once the outbox is empty.
+    closing: bool,
+}
+
+impl ConnState {
+    /// Whether the writer has something to do: documents to send, or a
+    /// reason to close the connection.
+    fn writer_ready(&self) -> bool {
+        !self.outbox.is_empty() || self.dead || self.closing || (self.eof && self.outstanding == 0)
+    }
 }
 
 impl Conn {
-    /// Pushes buffered output to the socket until it would block.
-    fn flush(&mut self) {
-        loop {
-            if self.wpos == self.wbuf.len() {
-                match self.outbox.pop_front() {
-                    Some(line) => {
-                        self.wbuf = line.into_bytes();
-                        self.wbuf.push(b'\n');
-                        self.wpos = 0;
-                    }
-                    None => return,
-                }
-            }
-            match (&self.stream).write(&self.wbuf[self.wpos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(k) => self.wpos += k,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
+    fn lock(&self) -> MutexGuard<'_, ConnState> {
+        self.state.lock().expect("connection state poisoned")
     }
 
-    fn flushed(&self) -> bool {
-        self.outbox.is_empty() && self.wpos == self.wbuf.len()
+    /// Applies `f` to the state, then wakes the connection's threads.
+    fn update<R>(&self, f: impl FnOnce(&mut ConnState) -> R) -> R {
+        let r = f(&mut self.lock());
+        self.changed.notify_all();
+        r
+    }
+
+    /// Queues one document for the writer; returns the outbox length.
+    fn send(&self, doc: String) -> usize {
+        self.update(|s| {
+            s.outbox.push_back(doc);
+            s.outbox.len()
+        })
+    }
+
+    /// Shuts the socket and unregisters the connection (idempotent).
+    fn close(&self, hub: &Hub) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.update(|s| s.dead = true);
+        let mut sh = hub.lock();
+        if sh.conns.remove(&self.id).is_some() {
+            sh.stats.connections_open = sh.stats.connections_open.saturating_sub(1);
+            sh.stats.connections_closed += 1;
+            hub.closed.notify_all();
+        }
     }
 }
 
@@ -653,9 +715,9 @@ impl Daemon {
     }
 
     /// Installs a certificate cache ([`CertCache`]) for the daemon's
-    /// service; with `save_path` set, the grown cache is written back
-    /// (whole-file, best-effort) after every dispatch generation, so
-    /// certificates survive the process.
+    /// service; with `save_path` set, the cache is written back
+    /// (whole-file, best-effort) after every dispatch generation that
+    /// recorded a certificate, so certificates survive the process.
     pub fn set_cert_cache(&mut self, cache: CertCache, save_path: Option<PathBuf>) {
         self.cert_cache = Some(cache);
         self.cert_save_path = save_path;
@@ -663,297 +725,272 @@ impl Daemon {
 
     /// Serves until a graceful drain completes; returns the final
     /// counters (the same snapshot the drain's stats document carries).
-    pub fn run(mut self) -> DaemonStats {
-        let started = Instant::now();
-        let cfg = self.config;
-        let shared: Shared = Arc::new((Mutex::new(SharedState::default()), Condvar::new()));
-        let ingest = Ingest::new(self.model.clone(), cfg.queue_depth);
-
+    pub fn run(self) -> DaemonStats {
+        let Daemon {
+            config: cfg,
+            listener,
+            model,
+            shared_memo,
+            cert_cache,
+            cert_save_path,
+        } = self;
         // The service outlives every connection: its universe cache and
-        // quarantine are the cross-generation warm state. Built here so
-        // the event loop can hold a cancel handle for the drain.
+        // quarantine are the cross-generation warm state.
         let mut service = SolveService::new(ServiceConfig {
             workers: cfg.workers,
             cache_bytes: cfg.cache_bytes,
-            shared_memo: self.shared_memo,
+            shared_memo,
             ..ServiceConfig::default()
         });
-        if let Some(model) = self.model.clone() {
+        if let Some(model) = model.clone() {
             service.set_cost_model(model);
         }
-        if let Some(cache) = self.cert_cache.take() {
+        if let Some(cache) = cert_cache {
             service.set_cert_cache(cache);
         }
-        let cert_save = self.cert_save_path.take();
-        let cancel = service.cancel_token().clone();
-
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || dispatcher_loop(service, &shared, cfg, cert_save))
+        let hub = Hub {
+            state: Mutex::default(),
+            work: Condvar::new(),
+            closed: Condvar::new(),
+            ingest: Ingest::new(model, cfg.queue_depth),
+            cancel: service.cancel_token().clone(),
+            queue_depth: cfg.queue_depth.max(1),
+            max_line_bytes: cfg.max_line_bytes,
+            started: Instant::now(),
         };
+        let wake = wake_addr(&listener);
 
-        let mut poll = Poll::new().expect("poll creation");
-        let mut events = Events::with_capacity(cfg.max_conns + 8);
-        poll.registry()
-            .register(&mut self.listener, Token(0), Interest::READABLE)
-            .expect("listener registration");
-
-        let mut conns: HashMap<usize, Conn> = HashMap::new();
-        let mut next_conn_id: u64 = 0;
-        let mut next_slot: usize = 1;
-        let mut draining = false;
-        let mut drain_requester: Option<u64> = None;
-        let mut final_stats_sent = false;
-        let mut drain_flush_started: Option<Instant> = None;
-
-        loop {
-            poll.poll(&mut events, Some(cfg.tick)).expect("poll");
-
-            // Accept — the shim reports the listener ready every tick;
-            // WouldBlock settles the truth.
-            if !draining {
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _)) => {
-                            if conns.len() >= cfg.max_conns {
-                                // Refuse loudly: one reject line, then
-                                // close. Best-effort — the peer may not
-                                // read it.
-                                let mut s = stream;
-                                let doc = reject_json(
-                                    None,
-                                    "overload",
-                                    &format!("connection limit {} reached", cfg.max_conns),
-                                    None,
-                                );
-                                let _ = s.write(format!("{doc}\n").as_bytes());
-                                lock(&shared).stats.connections_refused += 1;
-                                continue;
-                            }
-                            let slot = next_slot;
-                            next_slot += 1;
-                            let mut conn = Conn {
-                                id: next_conn_id,
-                                stream,
-                                framer: LineFramer::new(cfg.max_line_bytes),
-                                lines: VecDeque::new(),
-                                outbox: VecDeque::new(),
-                                wbuf: Vec::new(),
-                                wpos: 0,
-                                outstanding: 0,
-                                paused: false,
-                                eof: false,
-                                dead: false,
-                            };
-                            next_conn_id += 1;
-                            poll.registry()
-                                .register(
-                                    &mut conn.stream,
-                                    Token(slot),
-                                    Interest::READABLE.add(Interest::WRITABLE),
-                                )
-                                .expect("stream registration");
-                            conns.insert(slot, conn);
-                            let mut sh = lock(&shared);
-                            sh.stats.connections_accepted += 1;
-                            sh.stats.connections_open += 1;
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(_) => break,
-                    }
-                }
+        std::thread::scope(|scope| {
+            scope.spawn(|| accept_loop(scope, &hub, &listener, cfg.max_conns));
+            let dispatcher = scope.spawn(|| dispatcher_loop(service, &hub, cert_save_path));
+            let _ = dispatcher.join();
+            drain(&hub);
+            // Wake the acceptor out of `accept` so it sees the drain; the
+            // scope then joins every thread.
+            if let Ok(addr) = wake {
+                let _ = TcpStream::connect(addr);
             }
+        });
 
-            // Route finished documents to their connections' outboxes.
-            let (routed, dispatcher_done) = {
-                let mut sh = lock(&shared);
-                (std::mem::take(&mut sh.responses), sh.dispatcher_done)
-            };
-            if !routed.is_empty() {
-                let by_id: HashMap<u64, usize> =
-                    conns.iter().map(|(&slot, c)| (c.id, slot)).collect();
-                for (conn_id, doc) in routed {
-                    // A vanished connection drops its responses — the
-                    // peer that would have read them is gone.
-                    if let Some(conn) = by_id.get(&conn_id).and_then(|s| conns.get_mut(s)) {
-                        conn.outbox.push_back(doc);
-                        conn.outstanding = conn.outstanding.saturating_sub(1);
-                    }
-                }
-            }
-
-            // Per-connection I/O.
-            for conn in conns.values_mut() {
-                conn.flush();
-                if conn.dead {
-                    continue;
-                }
-                // Backpressure: resume only when the outbox has drained
-                // below the bound; count each engagement.
-                if conn.outbox.len() >= cfg.queue_depth {
-                    if !conn.paused {
-                        conn.paused = true;
-                        lock(&shared).stats.stalls += 1;
-                    }
-                } else {
-                    conn.paused = false;
-                }
-                if conn.paused {
-                    continue;
-                }
-                loop {
-                    let mut stalled = false;
-                    while let Some(framed) = conn.lines.pop_front() {
-                        handle_line(framed, conn, &ingest, &shared, cfg.queue_depth, draining, started);
-                        if !draining && lock(&shared).draining {
-                            // A shutdown control arrived on this
-                            // connection: close admission globally and
-                            // cancel the in-flight batch gracefully.
-                            draining = true;
-                            drain_requester = Some(conn.id);
-                            cancel.cancel_with(cyclecover_solver::api::CancelReason::Shutdown);
-                            shared.1.notify_all();
-                        }
-                        if conn.outbox.len() >= cfg.queue_depth {
-                            conn.paused = true;
-                            lock(&shared).stats.stalls += 1;
-                            stalled = true;
-                            break;
-                        }
-                    }
-                    if stalled || conn.eof || draining {
-                        break;
-                    }
-                    let mut chunk = [0u8; 4096];
-                    match (&conn.stream).read(&mut chunk) {
-                        Ok(0) => {
-                            conn.eof = true;
-                        }
-                        Ok(k) => {
-                            conn.lines.extend(conn.framer.push(&chunk[..k]));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(_) => {
-                            conn.dead = true;
-                            break;
-                        }
-                    }
-                }
-            }
-
-            // Reap connections: dead, or EOF with everything answered.
-            let gone: Vec<usize> = conns
-                .iter()
-                .filter(|(_, c)| {
-                    c.dead
-                        || (c.eof && c.flushed() && c.lines.is_empty() && c.outstanding == 0)
-                })
-                .map(|(&slot, _)| slot)
-                .collect();
-            for slot in gone {
-                if let Some(mut conn) = conns.remove(&slot) {
-                    let _ = poll.registry().deregister(&mut conn.stream);
-                    let mut sh = lock(&shared);
-                    sh.stats.connections_open = sh.stats.connections_open.saturating_sub(1);
-                    sh.stats.connections_closed += 1;
-                }
-            }
-
-            // Graceful-drain epilogue: dispatcher finished, responses
-            // routed — answer the requester with the final stats
-            // document, flush everyone, and stop.
-            if draining && dispatcher_done && lock(&shared).responses.is_empty() {
-                if !final_stats_sent {
-                    let doc = {
-                        let mut sh = lock(&shared);
-                        sh.stats.wall = started.elapsed();
-                        daemon_stats_json(&sh.stats)
-                    };
-                    if let Some(req) = drain_requester {
-                        if let Some(conn) = conns.values_mut().find(|c| c.id == req) {
-                            conn.outbox.push_back(doc);
-                        }
-                    }
-                    final_stats_sent = true;
-                }
-                for conn in conns.values_mut() {
-                    conn.flush();
-                }
-                // A peer that stops reading must not pin the drain
-                // forever: give stragglers a grace window, then leave.
-                let since = *drain_flush_started.get_or_insert_with(Instant::now);
-                if conns.values().all(|c| c.dead || c.flushed())
-                    || since.elapsed() > Duration::from_secs(5)
-                {
-                    break;
-                }
-            }
-        }
-
-        let _ = dispatcher.join();
-        let mut sh = lock(&shared);
+        let mut sh = hub.lock();
         sh.stats.connections_closed += sh.stats.connections_open;
         sh.stats.connections_open = 0;
-        sh.stats.wall = started.elapsed();
+        sh.stats.wall = hub.started.elapsed();
         sh.stats.clone()
     }
 }
 
-/// Event-loop handling of one framed line: admission, control, and the
-/// reject paths. Pushes at most one response document.
-fn handle_line(
-    framed: FramedLine,
-    conn: &mut Conn,
-    ingest: &Ingest,
-    shared: &Shared,
-    queue_depth: usize,
-    draining: bool,
-    started: Instant,
+/// Where a loopback connect reaches `listener` (an unspecified bind
+/// address is reached through the loopback address of its family).
+fn wake_addr(listener: &TcpListener) -> io::Result<SocketAddr> {
+    let mut addr = listener.local_addr()?;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    Ok(addr)
+}
+
+/// The acceptor: registers each connection and starts its reader and
+/// writer, or refuses it past the connection limit. Returns once the
+/// drain has begun.
+fn accept_loop<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    hub: &'scope Hub,
+    listener: &TcpListener,
+    max_conns: usize,
 ) {
+    loop {
+        let accepted = listener.accept();
+        let mut sh = hub.lock();
+        if sh.draining {
+            return;
+        }
+        let stream = match accepted {
+            Ok((stream, _)) => stream,
+            Err(e) => {
+                // A peer that aborted is retried at once. Anything else
+                // (out of descriptors, say) is retried once a connection
+                // has closed, not in a spin; with none open, at once.
+                if e.kind() != io::ErrorKind::ConnectionAborted {
+                    let closed = sh.stats.connections_closed;
+                    while sh.stats.connections_open > 0
+                        && sh.stats.connections_closed == closed
+                        && !sh.draining
+                    {
+                        sh = hub.closed.wait(sh).expect("daemon state poisoned");
+                    }
+                }
+                continue;
+            }
+        };
+        if sh.conns.len() >= max_conns {
+            sh.stats.connections_refused += 1;
+            drop(sh);
+            // Refuse loudly: one reject line, then close. Best-effort —
+            // the peer may not read it.
+            let doc = reject_json(
+                None,
+                "overload",
+                &format!("connection limit {max_conns} reached"),
+                None,
+            );
+            let _ = (&stream).write_all(format!("{doc}\n").as_bytes());
+            continue;
+        }
+        let _ = stream.set_nodelay(true);
+        let id = sh.next_conn_id;
+        sh.next_conn_id += 1;
+        let conn = Arc::new(Conn {
+            id,
+            stream,
+            state: Mutex::default(),
+            changed: Condvar::new(),
+        });
+        sh.conns.insert(id, Arc::clone(&conn));
+        sh.stats.connections_accepted += 1;
+        sh.stats.connections_open += 1;
+        drop(sh);
+        let reader = {
+            let conn = Arc::clone(&conn);
+            std::thread::Builder::new().spawn_scoped(scope, move || reader_loop(hub, &conn))
+        };
+        let writer = {
+            let conn = Arc::clone(&conn);
+            std::thread::Builder::new().spawn_scoped(scope, move || writer_loop(hub, &conn))
+        };
+        if reader.is_err() || writer.is_err() {
+            // Out of threads: whichever half started sees the socket
+            // shut and exits.
+            conn.close(hub);
+        }
+    }
+}
+
+/// What one framed line asks of its reader.
+enum Handled {
+    /// Nothing to send: a blank or comment line.
+    Quiet,
+    /// A job joined the admission queue.
+    Submitted,
+    /// Send this document back on the same connection.
+    Reply(String),
+    /// A `shutdown` control document: stop reading.
+    Shutdown,
+}
+
+/// A connection's reader: frames what arrives, admits it, and wakes the
+/// dispatcher once per read chunk. It stops reading once the drain
+/// begins, and right after the `shutdown` that begins it, so a
+/// requester's half-close cannot close its connection before the final
+/// stats document is sent.
+fn reader_loop(hub: &Hub, conn: &Conn) {
+    let mut framer = LineFramer::new(hub.max_line_bytes);
+    let mut chunk = [0u8; READ_CHUNK];
+    loop {
+        if conn.lock().outbox.len() >= hub.queue_depth {
+            stall(hub, conn);
+        }
+        if hub.lock().draining {
+            return;
+        }
+        let k = match (&conn.stream).read(&mut chunk) {
+            Ok(0) => {
+                conn.update(|s| s.eof = true);
+                return;
+            }
+            Ok(k) => k,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => {
+                conn.update(|s| s.dead = true);
+                return;
+            }
+        };
+        let mut submitted = false;
+        let mut shutdown = false;
+        for framed in framer.push(&chunk[..k]) {
+            let queued = match handle_line(framed, hub, conn) {
+                Handled::Reply(doc) => conn.send(doc),
+                Handled::Submitted => {
+                    submitted = true;
+                    conn.lock().outbox.len()
+                }
+                Handled::Shutdown => {
+                    shutdown = true;
+                    0
+                }
+                Handled::Quiet => 0,
+            };
+            if queued >= hub.queue_depth {
+                stall(hub, conn);
+            }
+        }
+        if submitted {
+            hub.work.notify_one();
+        }
+        if shutdown {
+            return;
+        }
+    }
+}
+
+/// Backpressure: the connection's outbox is full, so its reader stops
+/// (one stall) until the writer drains the outbox below the bound.
+/// Jobs already admitted are handed to the dispatcher first.
+fn stall(hub: &Hub, conn: &Conn) {
+    hub.work.notify_one();
+    hub.lock().stats.stalls += 1;
+    let full = |s: &mut ConnState| s.outbox.len() >= hub.queue_depth && !s.dead && !s.closing;
+    drop(
+        conn.changed
+            .wait_while(conn.lock(), full)
+            .expect("connection state poisoned"),
+    );
+}
+
+/// Admission of one framed line: control documents and the reject
+/// paths. A job counts as outstanding on its connection before the
+/// dispatcher can see it, so its answer always finds the count.
+fn handle_line(framed: FramedLine, hub: &Hub, conn: &Conn) -> Handled {
     let line = match framed {
         FramedLine::Oversized { bytes } => {
-            lock(shared).stats.rejected_oversized += 1;
-            conn.outbox.push_back(reject_json(
+            hub.lock().stats.rejected_oversized += 1;
+            return Handled::Reply(reject_json(
                 None,
                 "oversized",
                 &format!("line of {bytes} bytes exceeds the per-line bound"),
                 None,
             ));
-            return;
         }
         FramedLine::Line(line) => line,
     };
-    let queued = lock(shared).pending.len();
-    match ingest.admit(&line, queued) {
-        IngestAction::Ignore => {}
+    let queued = hub.lock().pending.len();
+    match hub.ingest.admit(&line, queued) {
+        IngestAction::Ignore => Handled::Quiet,
         IngestAction::Submit(job, _prediction) => {
-            if draining {
-                lock(shared).stats.rejected_admission += 1;
-                conn.outbox.push_back(reject_json(
-                    Some(job.id.as_str()).filter(|s| !s.is_empty()),
-                    "admission",
-                    "daemon is draining",
-                    None,
-                ));
-                return;
-            }
-            let mut sh = lock(shared);
-            if sh.pending.len() >= queue_depth {
+            conn.lock().outstanding += 1;
+            let mut sh = hub.lock();
+            let (reason, detail) = if sh.draining {
+                sh.stats.rejected_admission += 1;
+                ("admission", "daemon is draining")
+            } else if sh.pending.len() >= hub.queue_depth {
                 sh.stats.rejected_overload += 1;
-                drop(sh);
-                conn.outbox.push_back(reject_json(
-                    Some(job.id.as_str()).filter(|s| !s.is_empty()),
-                    "overload",
-                    "admission queue full",
-                    None,
-                ));
-                return;
-            }
-            sh.stats.jobs_received += 1;
-            sh.pending.push_back((conn.id, *job));
+                ("overload", "admission queue full")
+            } else {
+                sh.stats.jobs_received += 1;
+                sh.pending.push_back((conn.id, *job));
+                return Handled::Submitted;
+            };
             drop(sh);
-            conn.outstanding += 1;
-            shared.1.notify_all();
+            conn.lock().outstanding -= 1;
+            Handled::Reply(reject_json(
+                Some(job.id.as_str()).filter(|s| !s.is_empty()),
+                reason,
+                detail,
+                None,
+            ))
         }
         IngestAction::Reject {
             id,
@@ -962,67 +999,131 @@ fn handle_line(
             prediction,
         } => {
             {
-                let mut sh = lock(shared);
+                let mut sh = hub.lock();
                 match reason {
                     "overload" => sh.stats.rejected_overload += 1,
                     "predicted_unmeetable" => sh.stats.rejected_predicted += 1,
                     _ => sh.stats.rejected_parse += 1,
                 }
             }
-            conn.outbox
-                .push_back(reject_json(id.as_deref(), reason, &detail, prediction));
+            Handled::Reply(reject_json(id.as_deref(), reason, &detail, prediction))
         }
         IngestAction::Shutdown => {
-            lock(shared).draining = true;
-            // The event loop notices `draining` right after this line
-            // and cancels the service root; nothing else to do here.
-        }
-        IngestAction::Stats => {
-            let doc = {
-                let mut sh = lock(shared);
-                sh.stats.wall = started.elapsed();
-                daemon_stats_json(&sh.stats)
+            let first = {
+                let mut sh = hub.lock();
+                let first = !sh.draining;
+                if first {
+                    sh.draining = true;
+                    sh.drain_requester = Some(conn.id);
+                }
+                first
             };
-            conn.outbox.push_back(doc);
+            if first {
+                // Close admission and stop the in-flight batch gracefully.
+                hub.cancel.cancel_with(CancelReason::Shutdown);
+                hub.work.notify_one();
+            }
+            Handled::Shutdown
         }
+        IngestAction::Stats => Handled::Reply(hub.stats_json()),
     }
 }
 
-/// The dispatcher: owns the long-lived [`SolveService`], drains the
-/// admission queue in micro-batch generations, and routes one terminal
-/// document per job back to its connection.
-fn dispatcher_loop(
-    mut service: SolveService,
-    shared: &Shared,
-    cfg: DaemonConfig,
-    cert_save: Option<PathBuf>,
-) {
-    let mut generation: u64 = 0;
+/// A connection's writer: sends whatever is in the outbox, then closes
+/// the connection once the peer has half-closed and every job is
+/// answered, once the drain has flushed it, or on an I/O error.
+fn writer_loop(hub: &Hub, conn: &Conn) {
     loop {
-        // Gather a generation: wait for work, then one tick more so a
-        // burst lands in a single batch (coalescing and universe
-        // sharing work across the whole generation).
-        let batch: Vec<(u64, SolveJob)> = {
-            let (mutex, cv) = &**shared;
-            let mut sh = mutex.lock().expect("daemon state poisoned");
+        let docs = {
+            let mut s = conn
+                .changed
+                .wait_while(conn.lock(), |s| !s.writer_ready())
+                .expect("connection state poisoned");
+            if s.dead || s.outbox.is_empty() {
+                break;
+            }
+            std::mem::take(&mut s.outbox)
+        };
+        // The outbox has room again: wake a stalled reader.
+        conn.changed.notify_all();
+        let mut bytes = String::with_capacity(docs.iter().map(|d| d.len() + 1).sum());
+        for doc in docs {
+            bytes.push_str(&doc);
+            bytes.push('\n');
+        }
+        if (&conn.stream).write_all(bytes.as_bytes()).is_err() {
+            break;
+        }
+    }
+    conn.close(hub);
+}
+
+/// The drain epilogue, once the dispatcher has answered everything: the
+/// final stats document goes to the requester, every connection flushes
+/// and closes, and after [`DRAIN_GRACE`] a peer that stopped reading is
+/// cut off.
+fn drain(hub: &Hub) {
+    let (doc, requester, conns) = {
+        let mut sh = hub.lock();
+        // Already set unless the dispatcher died; either way, accept and
+        // admission are closed from here on.
+        sh.draining = true;
+        hub.closed.notify_all();
+        sh.stats.wall = hub.started.elapsed();
+        let conns: Vec<Arc<Conn>> = sh.conns.values().cloned().collect();
+        (daemon_stats_json(&sh.stats), sh.drain_requester, conns)
+    };
+    let mut doc = Some(doc);
+    for conn in &conns {
+        conn.update(|s| {
+            if requester == Some(conn.id) {
+                s.outbox.extend(doc.take());
+            }
+            s.closing = true;
+        });
+    }
+    let deadline = Instant::now() + DRAIN_GRACE;
+    for conn in &conns {
+        let mut s = conn.lock();
+        while !s.dead {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            s = conn
+                .changed
+                .wait_timeout(s, left)
+                .expect("connection state poisoned")
+                .0;
+        }
+    }
+    // Unblocks any reader still in `read` and any writer still in
+    // `write`; their threads then close their connections.
+    for conn in &conns {
+        let _ = conn.stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// The dispatcher: owns the long-lived [`SolveService`], wakes whenever
+/// jobs are pending and takes them all as one generation, and pushes one
+/// terminal document per job into its connection's outbox.
+fn dispatcher_loop(mut service: SolveService, hub: &Hub, cert_save: Option<PathBuf>) {
+    let mut generation: u64 = 0;
+    // `CertCache` is insert-only, so "longer than when last written" is
+    // exactly "recorded a certificate since".
+    let mut persisted = service.cert_cache_stats().map_or(0, |(n, _, _)| n);
+    loop {
+        let batch = {
+            let mut sh = hub.lock();
             loop {
                 if !sh.pending.is_empty() {
-                    break;
+                    break std::mem::take(&mut sh.pending);
                 }
                 if sh.draining {
-                    sh.dispatcher_done = true;
-                    cv.notify_all();
                     return;
                 }
-                sh = cv
-                    .wait_timeout(sh, cfg.tick.max(Duration::from_millis(1)))
-                    .expect("daemon state poisoned")
-                    .0;
+                sh = hub.work.wait(sh).expect("daemon state poisoned");
             }
-            drop(sh);
-            std::thread::sleep(cfg.tick);
-            let mut sh = mutex.lock().expect("daemon state poisoned");
-            sh.pending.drain(..).collect()
         };
 
         // Warm-start accounting, before the drain touches the cache:
@@ -1101,34 +1202,49 @@ fn dispatcher_loop(
             out.push((conn_id, doc));
         }
 
-        // Persist the grown certificate cache before publishing the
+        // Persist a grown certificate cache before publishing the
         // generation (whole-file, best-effort, outside the shared lock):
         // a crash after this point loses no certificates.
-        if cert_save.is_some() {
-            if let (Some(path), Some(doc)) = (cert_save.as_ref(), service.cert_cache_json()) {
-                let _ = std::fs::write(path, doc);
+        let cert_entries = service.cert_cache_stats().map(|(n, _, _)| n);
+        if let (Some(path), Some(entries)) = (&cert_save, cert_entries) {
+            if entries > persisted {
+                if let Some(doc) = service.cert_cache_json() {
+                    if std::fs::write(path, doc).is_ok() {
+                        persisted = entries;
+                    }
+                }
             }
         }
 
-        let (mutex, cv) = &**shared;
-        let mut sh = mutex.lock().expect("daemon state poisoned");
-        sh.responses.extend(out);
-        sh.stats.generations += 1;
-        sh.stats.jobs_answered += answered;
-        sh.stats.unstarted += unstarted;
-        sh.stats.rejected_admission += admission_rejects;
-        sh.stats.warm_universe_lookups += warm_lookups;
-        sh.stats.warm_universe_hits += warm_hits;
-        sh.stats.predicted_jobs += predicted_jobs;
-        sh.stats.predicted_nodes += predicted_nodes;
-        sh.stats.actual_nodes += actual_nodes;
-        sh.stats.memo_hits += report.stats.memo_hits;
-        sh.stats.shared_hits += report.stats.shared_hits;
-        sh.stats.cert_cache_hits += report.stats.cert_cache_hits as u64;
-        if let Some((entries, _, _)) = service.cert_cache_stats() {
-            sh.stats.cert_cache_entries = entries as u64;
+        let routed: Vec<(Arc<Conn>, String)> = {
+            let mut sh = hub.lock();
+            sh.stats.generations += 1;
+            sh.stats.jobs_answered += answered;
+            sh.stats.unstarted += unstarted;
+            sh.stats.rejected_admission += admission_rejects;
+            sh.stats.warm_universe_lookups += warm_lookups;
+            sh.stats.warm_universe_hits += warm_hits;
+            sh.stats.predicted_jobs += predicted_jobs;
+            sh.stats.predicted_nodes += predicted_nodes;
+            sh.stats.actual_nodes += actual_nodes;
+            sh.stats.memo_hits += report.stats.memo_hits;
+            sh.stats.shared_hits += report.stats.shared_hits;
+            sh.stats.cert_cache_hits += report.stats.cert_cache_hits as u64;
+            if let Some(entries) = cert_entries {
+                sh.stats.cert_cache_entries = entries as u64;
+            }
+            // A vanished connection drops its answers: the peer that
+            // would have read them is gone.
+            out.into_iter()
+                .filter_map(|(id, doc)| Some((Arc::clone(sh.conns.get(&id)?), doc)))
+                .collect()
+        };
+        for (conn, doc) in routed {
+            conn.update(|s| {
+                s.outbox.push_back(doc);
+                s.outstanding = s.outstanding.saturating_sub(1);
+            });
         }
-        cv.notify_all();
     }
 }
 

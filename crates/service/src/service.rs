@@ -456,17 +456,21 @@ impl SolveService {
         let next = AtomicUsize::new(0);
         let reports: Mutex<Vec<JobReport>> = Mutex::new(Vec::with_capacity(submitted));
         let workers = self.config.workers.max(1).min(groups.len().max(1));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let g = next.fetch_add(1, Ordering::SeqCst);
-                    if g >= groups.len() {
-                        break;
-                    }
-                    let out = process_group(g, &groups[g].members, &ctx);
-                    reports.lock().expect("report sink poisoned").extend(out);
-                });
+        let work = || loop {
+            let g = next.fetch_add(1, Ordering::SeqCst);
+            if g >= groups.len() {
+                break;
             }
+            let out = process_group(g, &groups[g].members, &ctx);
+            reports.lock().expect("report sink poisoned").extend(out);
+        };
+        // The calling thread is one of the workers, so a one-worker
+        // batch spawns no thread at all.
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
         });
 
         let mut jobs = reports.into_inner().expect("report sink poisoned");

@@ -6,7 +6,8 @@
 use cyclecover_service::{CalibrationRow, CertCache, CostModel, Daemon, DaemonConfig, DaemonStats};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn row(n: u32, nodes: u64, wall_ms: f64) -> CalibrationRow {
     CalibrationRow {
@@ -209,4 +210,207 @@ fn cert_cache_serves_repeats_and_persists_across_generations() {
     assert_eq!(reloaded.len(), 1);
     assert_eq!(reloaded.rejected_on_load(), 0);
     let _ = std::fs::remove_file(&save);
+}
+
+/// Binds a daemon on an ephemeral loopback port and serves it on its
+/// own thread; the receiver yields the final counters when `run`
+/// returns.
+fn serve(
+    config: DaemonConfig,
+    setup: impl FnOnce(&mut Daemon),
+) -> (std::net::SocketAddr, mpsc::Receiver<DaemonStats>) {
+    let mut daemon =
+        Daemon::bind("127.0.0.1:0".parse().unwrap(), config).expect("bind loopback");
+    setup(&mut daemon);
+    let addr = daemon.local_addr().expect("local addr");
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(daemon.run());
+    });
+    (addr, rx)
+}
+
+fn request(id: &str, n: u32) -> String {
+    format!(r#"{{"format": "cyclecover-request", "version": 1, "id": "{id}", "n": {n}}}"#)
+}
+
+const STATS: &str = r#"{"format": "cyclecover-control", "version": 1, "op": "stats"}"#;
+const SHUTDOWN: &str = r#"{"format": "cyclecover-control", "version": 1, "op": "shutdown"}"#;
+
+/// Every line until the daemon closes the connection.
+fn read_to_eof(reader: &mut BufReader<TcpStream>) -> Vec<String> {
+    reader
+        .lines()
+        .map(|line| line.expect("read until EOF"))
+        .collect()
+}
+
+/// Sends `shutdown` on a fresh connection and returns the final stats
+/// document's counters.
+fn shut_down(addr: std::net::SocketAddr) -> DaemonStats {
+    let (mut w, mut r) = connect(addr);
+    writeln!(w, "{SHUTDOWN}").expect("write shutdown control");
+    DaemonStats::from_json(&read_line(&mut r)).expect("final stats parse")
+}
+
+#[test]
+fn cert_cache_file_is_written_only_when_the_cache_grew() {
+    let save = std::env::temp_dir().join(format!(
+        "cyclecover_daemon_cert_growth_{}.json",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&save);
+    let (addr, done) = serve(DaemonConfig::default(), |d| {
+        d.set_cert_cache(CertCache::new(), Some(save.clone()))
+    });
+    let (mut w, mut r) = connect(addr);
+    let mut ask = |id: &str, n: u32| {
+        writeln!(w, "{}", request(id, n)).expect("write job");
+        read_line(&mut r)
+    };
+    // The cache is written before a generation's answers are sent, so
+    // by the time an answer is read, its generation's write has happened.
+    assert!(ask("cold", 6).contains("\"cached\": false"));
+    let doc = std::fs::read_to_string(&save).expect("the cold job recorded a certificate");
+    assert_eq!(CertCache::from_json(&doc).unwrap().len(), 1);
+
+    std::fs::remove_file(&save).expect("remove cache file");
+    assert!(ask("hit", 6).contains("\"cached\": true"));
+    assert!(
+        !save.exists(),
+        "a generation that only read the cache must not rewrite it"
+    );
+
+    assert!(ask("new-key", 7).contains("\"cached\": false"));
+    let doc = std::fs::read_to_string(&save).expect("a new certificate rewrites the file");
+    assert_eq!(CertCache::from_json(&doc).unwrap().len(), 2);
+
+    assert_eq!(shut_down(addr).cert_cache_entries, 2);
+    done.recv_timeout(Duration::from_secs(20))
+        .expect("daemon returns");
+    let _ = std::fs::remove_file(&save);
+}
+
+#[test]
+fn drain_answers_a_half_closed_requester_and_closes_an_idle_peer() {
+    let (addr, done) = serve(DaemonConfig::default(), |_| {});
+    // B connects first and never sends a byte.
+    let (_idle_w, mut idle_r) = connect(addr);
+    // A asks for stats and the drain in one write, then half-closes: its
+    // reader must not read the half-close and close A before the final
+    // stats document is sent.
+    let (mut w, mut r) = connect(addr);
+    w.write_all(format!("{STATS}\n{SHUTDOWN}\n").as_bytes())
+        .expect("write controls");
+    w.shutdown(Shutdown::Write).expect("half-close");
+    let started = Instant::now();
+
+    let docs = read_to_eof(&mut r);
+    assert_eq!(
+        docs.len(),
+        2,
+        "live stats, then final stats, then EOF: {docs:?}"
+    );
+    let live = DaemonStats::from_json(&docs[0]).expect("live stats parse");
+    assert_eq!(live.connections_accepted, 2, "B was accepted before A");
+    DaemonStats::from_json(&docs[1]).expect("final stats parse");
+    assert!(
+        read_to_eof(&mut idle_r).is_empty(),
+        "the idle peer sees EOF and nothing else"
+    );
+    let stats = done
+        .recv_timeout(Duration::from_secs(20))
+        .expect("daemon returns");
+    assert!(
+        started.elapsed() < Duration::from_secs(4),
+        "the idle peer must not hold the drain for its grace window: {:?}",
+        started.elapsed()
+    );
+    assert_eq!(stats.connections_accepted, 2);
+    assert_eq!(stats.connections_closed, 2);
+}
+
+#[test]
+fn queue_depth_one_stalls_reading_and_answers_every_line_once() {
+    let config = DaemonConfig {
+        queue_depth: 1,
+        ..DaemonConfig::default()
+    };
+    let (addr, done) = serve(config, |_| {});
+    // Two instant rejects in one chunk fill the depth-1 outbox while the
+    // rest of the chunk is unread: a deterministic stall.
+    let ids = ["q1", "q2", "q3", "q4", "q5"];
+    let mut payload = String::from("{broken one\n{broken two\n");
+    for id in ids {
+        payload.push_str(&request(id, 10));
+        payload.push('\n');
+    }
+    let (mut w, mut r) = connect(addr);
+    w.write_all(payload.as_bytes()).expect("write squeeze");
+    w.shutdown(Shutdown::Write).expect("half-close");
+    let docs = read_to_eof(&mut r);
+    assert_eq!(
+        docs.len(),
+        7,
+        "seven lines in, seven documents out: {docs:?}"
+    );
+    let parse = docs
+        .iter()
+        .filter(|d| d.contains("\"reason\": \"parse\""))
+        .count();
+    assert_eq!(parse, 2, "{docs:?}");
+    for id in ids {
+        let terminal: Vec<&String> = docs
+            .iter()
+            .filter(|d| d.contains(&format!("\"id\": \"{id}\"")))
+            .collect();
+        assert_eq!(
+            terminal.len(),
+            1,
+            "{id}: exactly one terminal document: {docs:?}"
+        );
+        assert!(
+            terminal[0].contains("\"format\": \"cyclecover-solution\"")
+                || terminal[0].contains("\"reason\": \"overload\""),
+            "{id}: a solution or an overload reject: {}",
+            terminal[0]
+        );
+    }
+
+    let final_stats = shut_down(addr);
+    assert!(final_stats.stalls >= 1, "{final_stats:?}");
+    let stats = done
+        .recv_timeout(Duration::from_secs(20))
+        .expect("daemon returns");
+    assert_eq!(stats.rejected_parse, 2);
+    assert_eq!(stats.jobs_received + stats.rejected_overload, 5);
+    assert_eq!(stats.jobs_answered, stats.jobs_received);
+}
+
+#[test]
+fn connection_limit_refuses_with_one_overload_reject_then_eof() {
+    let config = DaemonConfig {
+        max_conns: 1,
+        ..DaemonConfig::default()
+    };
+    let (addr, done) = serve(config, |_| {});
+    // The first connection is registered once it has been answered.
+    let (mut w, mut r) = connect(addr);
+    writeln!(w, "{STATS}").expect("write stats control");
+    DaemonStats::from_json(&read_line(&mut r)).expect("live stats parse");
+
+    let (_refused_w, mut refused_r) = connect(addr);
+    let docs = read_to_eof(&mut refused_r);
+    assert_eq!(docs.len(), 1, "one reject, then EOF: {docs:?}");
+    assert!(docs[0].contains("\"format\": \"cyclecover-reject\""));
+    assert!(docs[0].contains("\"reason\": \"overload\""));
+
+    writeln!(w, "{SHUTDOWN}").expect("write shutdown control");
+    let final_stats = DaemonStats::from_json(&read_line(&mut r)).expect("final stats parse");
+    assert_eq!(final_stats.connections_refused, 1);
+    assert_eq!(final_stats.connections_accepted, 1);
+    let stats = done
+        .recv_timeout(Duration::from_secs(20))
+        .expect("daemon returns");
+    assert_eq!(stats.connections_refused, 1);
 }
