@@ -52,35 +52,27 @@ pub fn greedy_cover(ring: Ring, inst: &Graph, max_len: usize) -> Option<GeneralC
     let n = ring.n() as usize;
     let universe = TileUniverse::new(ring, max_len);
 
-    let mut want = vec![false; n * (n - 1) / 2];
+    // Demand and coverage are indexed in the universe's priority chord
+    // space, the space its per-tile chord lists are written in.
+    let mut want = vec![false; universe.num_chords() as usize];
     let mut remaining = 0usize;
     for e in inst.edges() {
-        let i = e.dense_index(n);
-        if !want[i] {
-            want[i] = true;
+        let c = universe.pri_of_dense(e.dense_index(n) as u32) as usize;
+        if !want[c] {
+            want[c] = true;
             remaining += 1;
         }
     }
 
-    // Precompute tile chord indices.
-    let tile_chords: Vec<Vec<u32>> = (0..universe.len() as u32)
-        .map(|i| {
-            universe
-                .tile_chords(i)
-                .iter()
-                .map(|&pri| universe.dense_of_pri(pri))
-                .collect()
-        })
-        .collect();
-
-    let mut covered = vec![false; n * (n - 1) / 2];
+    let mut covered = vec![false; want.len()];
     let mut chosen: Vec<Tile> = Vec::new();
+    let mut phantom_edges = Vec::new();
     while remaining > 0 {
-        let mut best: Option<(usize, usize, usize)> = None; // (idx, gain, phantom)
-        for (i, chords) in tile_chords.iter().enumerate() {
+        let mut best: Option<(u32, usize, usize)> = None; // (idx, gain, phantom)
+        for i in 0..universe.len() as u32 {
             let mut gain = 0;
             let mut phantom = 0;
-            for &c in chords {
+            for &c in universe.tile_chords(i) {
                 let c = c as usize;
                 if want[c] && !covered[c] {
                     gain += 1;
@@ -100,23 +92,17 @@ pub fn greedy_cover(ring: Ring, inst: &Graph, max_len: usize) -> Option<GeneralC
             }
         }
         let (i, gain, _) = best.expect("an uncovered instance edge always lies in a triangle");
-        for &c in &tile_chords[i] {
+        for &c in universe.tile_chords(i) {
+            // A phantom chord is covered only by picks, so the first
+            // pick that uses it reports it.
+            if !want[c as usize] && !covered[c as usize] {
+                let dense = universe.dense_of_pri(c) as usize;
+                phantom_edges.push(Edge::from_dense_index(dense, n));
+            }
             covered[c as usize] = true;
         }
         remaining -= gain;
-        chosen.push(universe.tile(i as u32));
-    }
-
-    let mut phantom_edges = Vec::new();
-    let mut seen = vec![false; n * (n - 1) / 2];
-    for t in &chosen {
-        for c in t.chords(ring) {
-            let i = c.to_edge().dense_index(n);
-            if !want[i] && !seen[i] {
-                seen[i] = true;
-                phantom_edges.push(c.to_edge());
-            }
-        }
+        chosen.push(universe.tile(i));
     }
     Some(GeneralCover {
         covering: DrcCovering::from_tiles(ring, chosen),

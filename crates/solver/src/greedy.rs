@@ -12,8 +12,10 @@
 //! the tile's chord count, and when a chord becomes covered, every tile
 //! in its candidate list loses one. Over a whole run that is one
 //! decrement per (tile, chord) incidence — `Σ|tile|` in total — and a
-//! pick is a linear scan over the array for the best key. No tile is
-//! ever re-scored, and nothing is allocated per pick.
+//! pick is a linear scan over the array for the best key. A key is one
+//! `u32` (coverage and waste are both at most `n`), so the scan reads 4
+//! bytes per tile. No tile is ever re-scored, and nothing is allocated
+//! per pick.
 
 use crate::TileUniverse;
 use cyclecover_graph::Edge;
@@ -28,11 +30,18 @@ use cyclecover_ring::Tile;
 /// answer such problems `Infeasible` before calling this.
 pub fn greedy_cover(u: &TileUniverse) -> Vec<Tile> {
     // One key per tile, ordered like the selection rule: coverage in the
-    // high half, inverted waste in the low half. The maximum key wins,
+    // high 16 bits, inverted waste in the low 16. The maximum key wins,
     // and the first occurrence breaks ties toward the smaller index.
-    // Covering a chord subtracts `1 << 32` from its candidates' keys.
-    let mut key: Vec<u64> = (0..u.len() as u32)
-        .map(|i| (u.tile_chords(i).len() as u64) << 32 | u64::from(!u.tile_waste(i)))
+    // Covering a chord subtracts `1 << 16` from its candidates' keys.
+    let mut key: Vec<u32> = (0..u.len() as u32)
+        .map(|i| {
+            let (chords, waste) = (u.tile_chords(i).len() as u32, u.tile_waste(i));
+            debug_assert!(
+                chords <= 0xffff && waste <= 0xffff,
+                "tile {i}: {chords} chords, waste {waste} overflow a 16-bit key half"
+            );
+            chords << 16 | (0xffff - waste)
+        })
         .collect();
     let mut covered = vec![false; u.num_chords() as usize];
     let mut uncovered = covered.len();
@@ -40,7 +49,7 @@ pub fn greedy_cover(u: &TileUniverse) -> Vec<Tile> {
     while uncovered > 0 {
         let best = key.iter().copied().max().unwrap_or(0);
         assert!(
-            best >> 32 > 0,
+            best >> 16 > 0,
             "uncovered chords remain but no tile covers any"
         );
         let pick = key
@@ -51,7 +60,7 @@ pub fn greedy_cover(u: &TileUniverse) -> Vec<Tile> {
             if !std::mem::replace(&mut covered[c as usize], true) {
                 uncovered -= 1;
                 for &t in u.candidates_pri(c) {
-                    key[t as usize] -= 1 << 32;
+                    key[t as usize] -= 1 << 16;
                 }
             }
         }

@@ -34,14 +34,16 @@ use std::sync::OnceLock;
 /// lists (the enumeration order), and every per-tile table is a flat
 /// array indexed by that number — no tile owns a heap object:
 ///
-/// * vertices and chord lists share one CSR offset array (a tile has as
-///   many chords as vertices);
+/// * chord lists are CSR (a tile has as many chords as vertices); the
+///   vertex lists are not stored but read off the chord lists, since the
+///   `j`-th chord of a tile joins its vertices `j` and `j+1`;
 /// * chord bitmasks live in one `u64` slab with a fixed stride of
 ///   `⌈m/64⌉` words, each with its `[lo, hi)` span of nonzero words;
 /// * load, wasted capacity and diameter-chord count are plain columns;
 /// * per-chord candidate lists are CSR in priority order, each list in
 ///   increasing tile order;
-/// * tile lookup by vertex set is a binary search over the vertex lists.
+/// * tile lookup by vertex set is a binary search over the derived
+///   vertex lists.
 ///
 /// The branch & bound touches only the chord-side tables — never the
 /// vertex lists — so a search node costs a few word operations instead of
@@ -77,13 +79,13 @@ pub struct TileUniverse {
     vertex_masks: Vec<ChordSet>,
 
     // ---- tile tables ----
-    /// CSR offsets into `verts` and `chord_idx`: tile `i` owns slots
-    /// `tile_off[i]..tile_off[i+1]` of both.
+    /// CSR offsets into `chord_idx`: tile `i` owns slots
+    /// `tile_off[i]..tile_off[i+1]`.
     tile_off: Vec<u32>,
-    /// Concatenated sorted vertex lists.
-    verts: Vec<u32>,
     /// Concatenated per-tile chord lists (priority indices), the `j`-th
-    /// chord joining vertices `j` and `j+1` (cyclically).
+    /// chord joining sorted vertices `j` and `j+1` (cyclically) — the
+    /// only record of the tile's vertices, see
+    /// [`TileUniverse::tile_vertices`].
     chord_idx: Vec<u32>,
     /// Words per chord bitmask: `⌈m/64⌉`.
     stride: usize,
@@ -175,7 +177,7 @@ impl DihedralTables {
             }
             for t in 0..t_count {
                 image.clear();
-                image.extend(u.tile_vertices(t).iter().map(|&v| map(v)));
+                image.extend(u.tile_vertices(t).map(map));
                 image.sort_unstable();
                 let img = u
                     .index_of_sorted(&image)
@@ -341,8 +343,9 @@ impl TileUniverse {
     /// optimal coverings.
     ///
     /// Two passes over the enumeration: the first counts tiles and
-    /// vertex slots, so the second fills every table at its exact final
-    /// size — a build makes the same few allocations at any tile count.
+    /// per-tile chord slots, so the second fills every table at its
+    /// exact final size — a build makes the same few allocations at any
+    /// tile count.
     pub fn with_max_gap(ring: Ring, max_len: usize, max_gap: u32) -> Self {
         assert!(max_len >= 3, "tiles need >= 3 vertices");
         let n = ring.n();
@@ -409,7 +412,6 @@ impl TileUniverse {
         // Pass 2: per-tile tables, plus per-chord candidate counts.
         let stride = m.div_ceil(64);
         let mut tile_off = Vec::with_capacity(t_count + 1);
-        let mut verts = Vec::with_capacity(slots);
         let mut chord_idx = Vec::with_capacity(slots);
         let mut masks = vec![0u64; t_count * stride];
         let mut mask_span = Vec::with_capacity(t_count);
@@ -433,8 +435,7 @@ impl TileUniverse {
                 tile_load += dist_of_pri[pri as usize];
                 tile_diam += (pri < diam_chords) as u32;
             }
-            verts.extend_from_slice(vs);
-            tile_off.push(verts.len() as u32);
+            tile_off.push(chord_idx.len() as u32);
             let lo = mask.iter().position(|&w| w != 0).unwrap_or(0) as u32;
             let hi = mask
                 .iter()
@@ -475,7 +476,6 @@ impl TileUniverse {
             max_candidates,
             vertex_masks,
             tile_off,
-            verts,
             chord_idx,
             stride,
             masks,
@@ -486,7 +486,7 @@ impl TileUniverse {
             dihedral: OnceLock::new(),
         };
         debug_assert!(
-            (1..u.len() as u32).all(|i| u.tile_vertices(i - 1) < u.tile_vertices(i)),
+            (1..u.len() as u32).all(|i| u.tile_vertices(i - 1).lt(u.tile_vertices(i))),
             "tiles are enumerated in lexicographic order"
         );
         u
@@ -519,7 +519,6 @@ impl TileUniverse {
             + self.cand_off.len()
             + self.cands.len()
             + self.tile_off.len()
-            + self.verts.len()
             + self.chord_idx.len()
             + self.load.len()
             + self.waste.len()
@@ -558,14 +557,26 @@ impl TileUniverse {
     /// The tile with index `i`, as an owned value (for output paths; the
     /// search reads [`TileUniverse::tile_vertices`] and the chord tables).
     pub fn tile(&self, i: u32) -> Tile {
-        Tile::from_vertices(self.ring, self.tile_vertices(i).to_vec())
+        Tile::from_vertices(self.ring, self.tile_vertices(i).collect())
     }
 
-    /// Tile `i`'s vertices in increasing ring order.
+    /// Tile `i`'s vertices in increasing ring order, read off its chord
+    /// list: chord `j` joins vertices `j` and `j+1`, and chord ends are
+    /// stored as `(min, max)`. So vertex `j` is chord `j`'s first end for
+    /// every chord but the last, which closes the cycle from the largest
+    /// vertex back to the smallest: its second end is the last vertex.
     #[inline]
-    pub fn tile_vertices(&self, i: u32) -> &[u32] {
-        let i = i as usize;
-        &self.verts[self.tile_off[i] as usize..self.tile_off[i + 1] as usize]
+    pub fn tile_vertices(&self, i: u32) -> impl Iterator<Item = u32> + '_ {
+        let chords = self.tile_chords(i);
+        let last = chords.len() - 1;
+        chords.iter().enumerate().map(move |(j, &c)| {
+            let (first, second) = self.ends_of_pri[c as usize];
+            if j < last {
+                first
+            } else {
+                second
+            }
+        })
     }
 
     /// The index of `tile` in this universe, if enumerated.
@@ -579,7 +590,7 @@ impl TileUniverse {
         let (mut lo, mut hi) = (0u32, self.len() as u32);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match self.tile_vertices(mid).cmp(verts) {
+            match self.tile_vertices(mid).cmp(verts.iter().copied()) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
                 std::cmp::Ordering::Equal => return Some(mid),
@@ -701,15 +712,47 @@ mod tests {
         }
     }
 
+    /// The vertex lists derived from the chord table reproduce the
+    /// enumeration exactly, tile by tile, and every tile's lookup finds
+    /// its own index: on every full universe up to n = 12 and on the
+    /// restricted `(max_len, max_gap)` shapes of the universe-churn
+    /// workload at n = 14.
+    #[test]
+    fn derived_vertex_lists_match_the_enumeration() {
+        let full = (3u32..=12).map(|n| (n, n as usize, n));
+        let restricted = [(4, 7), (5, 14), (6, 14), (5, 8)].map(|(len, gap)| (14, len, gap));
+        for (n, max_len, max_gap) in full.chain(restricted) {
+            let ring = Ring::new(n);
+            let u = TileUniverse::with_max_gap(ring, max_len, max_gap);
+            let mut i = 0u32;
+            for_each_tile(ring, max_len, max_gap, &mut |vs| {
+                assert!(
+                    u.tile_vertices(i).eq(vs.iter().copied()),
+                    "n={n} max_len={max_len} max_gap={max_gap} tile {i}: {:?} vs {vs:?}",
+                    u.tile_vertices(i).collect::<Vec<_>>()
+                );
+                i += 1;
+            });
+            assert_eq!(
+                i as usize,
+                u.len(),
+                "n={n} max_len={max_len} max_gap={max_gap}"
+            );
+            for i in 0..u.len() as u32 {
+                assert_eq!(u.index_of(&u.tile(i)), Some(i), "n={n} tile {i}");
+            }
+        }
+    }
+
     #[test]
     fn max_gap_filters_long_arcs() {
         let ring = Ring::new(9);
         let u = TileUniverse::with_max_gap(ring, 4, 4);
         assert!((0..u.len() as u32).all(|i| u.tile(i).max_gap(ring) <= 4));
         // {0, 1, 2} has closing gap 7 > 4: excluded.
-        assert!(!(0..u.len() as u32).any(|i| u.tile_vertices(i) == [0, 1, 2]));
+        assert!(!(0..u.len() as u32).any(|i| u.tile_vertices(i).eq([0, 1, 2])));
         // {0, 3, 6} has gaps 3,3,3: included.
-        assert!((0..u.len() as u32).any(|i| u.tile_vertices(i) == [0, 3, 6]));
+        assert!((0..u.len() as u32).any(|i| u.tile_vertices(i).eq([0, 3, 6])));
     }
 
     #[test]

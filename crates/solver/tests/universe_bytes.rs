@@ -113,3 +113,17 @@ fn allocations_per_build_do_not_grow_with_the_tile_count() {
         "{small_allocs} allocations"
     );
 }
+
+#[test]
+fn full_universe_at_n16_fits_its_layout_budget() {
+    // 65,399 tiles. The chord table is the only per-tile record of a
+    // tile's vertices; storing the vertex lists as well charges
+    // 8,908,528 bytes here.
+    let u = TileUniverse::new(Ring::new(16), 16);
+    assert!(
+        u.approx_bytes() <= 7_000_000,
+        "n = 16 full universe charges {} bytes for {} tiles",
+        u.approx_bytes(),
+        u.len()
+    );
+}
